@@ -257,7 +257,7 @@ impl TaskStats {
         };
         let (min_pivot_hops, repo_correspondences) = match ctx.repository {
             Some(repo) => {
-                let chains = repo.pivot_chains(
+                let chains = repo.pivot_paths(
                     ctx.source.name(),
                     ctx.target.name(),
                     TaskStats::PIVOT_PROBE_HOPS,
@@ -1718,7 +1718,11 @@ mod tests {
             .with_severity(Severity::Warn)
             .find(|d| d.code == "W_DENSE_OVER_BUDGET")
             .expect("expected W_DENSE_OVER_BUDGET");
-        assert!(warn.message.contains("fuse_budget_bytes"), "{}", warn.message);
+        assert!(
+            warn.message.contains("fuse_budget_bytes"),
+            "{}",
+            warn.message
+        );
         // Small task: under budget, no warning.
         let small = analyzer(&coma).analyze(&plan, &stats(100, 100));
         assert!(!small

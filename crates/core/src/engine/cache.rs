@@ -5,22 +5,23 @@
 //! work *within* one plan run; an [`EngineCache`] extends the same idea
 //! across runs, which is what a long-running matching service needs —
 //! repeat traffic against a hot schema pair should skip tokenization,
-//! name-pair scoring, matcher matrices and inverted-index construction
-//! entirely. The memo becomes a *view* over this cache: every memo is
-//! bound to one `Arc<EngineCache>` (its own private one by default, a
-//! shared one under [`PlanEngine::execute_cached`]), and its lookups
-//! read/write the cache directly.
+//! matcher matrices and inverted-index construction entirely. The memo
+//! becomes a *view* over this cache: every memo is bound to one
+//! `Arc<EngineCache>` (its own private one by default, a shared one under
+//! [`PlanEngine::execute_cached`]), and its lookups read/write the cache
+//! directly.
 //!
 //! Keying: artifacts that depend on a schema are keyed by its
 //! [`schema_fingerprint`] — a deterministic hash over the schema name and
 //! every path's full name plus type information — so "the same schema"
 //! means *same content*, not same allocation: a client re-sending an
 //! identical schema, or the server reloading it from the persistent
-//! repository, hits the cache. Tokenizations and name-pair similarity
-//! tables are keyed by the strings themselves (schema-independent);
-//! matcher matrices are keyed by (schema-pair scope, matcher name,
-//! matcher instance identity); vocabulary indexes by (schema
-//! fingerprint, gram length).
+//! repository, hits the cache. Tokenizations are keyed by the element
+//! name itself (schema-independent); matcher matrices are keyed by
+//! (schema-pair scope, matcher name, matcher instance identity);
+//! vocabulary indexes by (schema fingerprint, gram length). No name-pair
+//! similarity is cached: the name-based matchers score every pair of a
+//! compute from a token table they build for that compute.
 //!
 //! Validity: a cache is only coherent for a fixed [`Auxiliary`]
 //! configuration and a stable [`MatcherLibrary`] (matrix keys include
@@ -29,15 +30,16 @@
 //! reason. Matchers that read mutable state beyond the schemas — the
 //! reuse matchers, which consult the repository — report
 //! [`Matcher::pure`] `= false` and are kept out of the shared matrix
-//! store (they still share tokenizations and name-pair sims, which only
-//! depend on strings).
+//! store (they still share tokenizations, which only depend on
+//! strings).
 //!
 //! Memory: matrix entries are the big artifacts, so they are bounded by
 //! a schema-pair scope cap (default [`EngineCache::DEFAULT_MAX_PAIRS`]):
 //! registering a scope beyond the cap evicts the least-recently-used
 //! pair's matrices, and any vocabulary index whose schema no longer
-//! appears in a live scope. String-level tables are unbounded (they grow
-//! with the distinct-name vocabulary, not with traffic).
+//! appears in a live scope. The tokenization table is not evicted: it
+//! holds one entry per distinct element name the tenant has matched, so
+//! it grows with the tenant's vocabulary, not with traffic.
 //!
 //! [`PlanEngine::execute_cached`]: super::PlanEngine::execute_cached
 //! [`Auxiliary`]: crate::Auxiliary
@@ -52,9 +54,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// A cache of name-pair similarities for one `NameEngine` configuration.
-pub(crate) type PairSims = Arc<RwLock<HashMap<(String, String), f64>>>;
 
 /// The schema-pair scope of one plan execution: (source fingerprint,
 /// target fingerprint). Matrix entries are valid only within one scope.
@@ -129,10 +128,8 @@ pub struct CacheStats {
     pub index_hits: u64,
     /// Vocabulary-index lookups that had to build.
     pub index_misses: u64,
-    /// Distinct cached tokenizations.
+    /// Distinct cached tokenizations (one per distinct element name).
     pub token_entries: u64,
-    /// Cached name-pair similarity tables (one per engine configuration).
-    pub sim_tables: u64,
     /// Live shared matrix entries.
     pub matrix_entries: u64,
     /// Live vocabulary-index entries.
@@ -155,10 +152,9 @@ pub struct ScopeWarmth {
 ///
 /// [`PlanEngine::execute_cached`]: super::PlanEngine::execute_cached
 pub struct EngineCache {
-    /// Name → abbreviation-expanded token set (schema-independent).
+    /// Element name → abbreviation-expanded token set
+    /// (schema-independent).
     token_sets: RwLock<HashMap<String, Arc<Vec<String>>>>,
-    /// Engine fingerprint → its name-pair similarity table.
-    name_sims: Mutex<HashMap<String, PairSims>>,
     /// (pair scope, matcher name, instance identity) → full matrix.
     matrices: Mutex<MatrixSlots>,
     /// (schema fingerprint, gram length) → vocabulary inverted index.
@@ -186,7 +182,6 @@ impl EngineCache {
     pub fn with_capacity(max_pairs: usize) -> EngineCache {
         EngineCache {
             token_sets: RwLock::default(),
-            name_sims: Mutex::default(),
             matrices: Mutex::default(),
             indexes: Mutex::default(),
             scopes: Mutex::default(),
@@ -206,7 +201,6 @@ impl EngineCache {
             index_hits: self.index_hits.load(Ordering::Relaxed),
             index_misses: self.index_misses.load(Ordering::Relaxed),
             token_entries: self.token_sets.read().len() as u64,
-            sim_tables: self.name_sims.lock().len() as u64,
             matrix_entries: self.matrices.lock().len() as u64,
             index_entries: self.indexes.lock().len() as u64,
         }
@@ -239,7 +233,6 @@ impl EngineCache {
     /// change auxiliary tables or rebuild their matcher library mid-life.
     pub fn purge(&self) {
         self.token_sets.write().clear();
-        self.name_sims.lock().clear();
         self.matrices.lock().clear();
         self.indexes.lock().clear();
         self.scopes.lock().clear();
@@ -283,14 +276,6 @@ impl EngineCache {
             .write()
             .entry(name.to_string())
             .or_insert_with(|| Arc::clone(&value))
-            .clone()
-    }
-
-    pub(crate) fn name_sims(&self, fingerprint: String) -> PairSims {
-        self.name_sims
-            .lock()
-            .entry(fingerprint)
-            .or_default()
             .clone()
     }
 

@@ -135,9 +135,33 @@ impl PairMask {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// The allowed column indices of row `i`, ascending.
+    /// The allowed column indices of row `i`, ascending. Walks the row's
+    /// bit words and skips empty ones, so a sparse row costs its
+    /// `cols / 64` words plus its allowed cells, not a test per column.
     pub fn allowed_in_row(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.cols).filter(move |&j| self.allows(i, j))
+        let (start, end) = (i * self.cols, (i + 1) * self.cols);
+        let words = if start < end {
+            start / 64..end.div_ceil(64)
+        } else {
+            0..0
+        };
+        words.flat_map(move |w| {
+            let base = w * 64;
+            let mut bits = self.bits[w];
+            if base < start {
+                bits &= u64::MAX << (start - base);
+            }
+            if end < base + 64 {
+                bits &= u64::MAX >> (base + 64 - end);
+            }
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    base + b - start
+                })
+            })
+        })
     }
 
     /// The fraction of the pair space this mask allows (0 for an empty
@@ -225,6 +249,29 @@ mod tests {
         assert!(mask.allows(2, 69));
         assert!(!mask.allows(1, 1));
         assert_eq!(mask.allowed_count(), 2);
+    }
+
+    /// The word-skipping row walk yields exactly the columns `allows`
+    /// accepts, for rows that start and end mid-word and rows spanning
+    /// several words.
+    #[test]
+    fn allowed_in_row_matches_allows() {
+        for cols in [0, 1, 5, 63, 64, 65, 130] {
+            let rows = 7;
+            let mut mask = PairMask::new(rows, cols);
+            for i in 0..rows {
+                for j in 0..cols {
+                    if (i * 7 + j * 3) % 5 == 0 || j + 1 == cols {
+                        mask.allow(i, j);
+                    }
+                }
+            }
+            for i in 0..rows {
+                let expected: Vec<usize> = (0..cols).filter(|&j| mask.allows(i, j)).collect();
+                let walked: Vec<usize> = mask.allowed_in_row(i).collect();
+                assert_eq!(walked, expected, "row {i} of {rows}×{cols}");
+            }
+        }
     }
 
     #[test]

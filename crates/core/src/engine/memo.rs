@@ -4,12 +4,13 @@
 //! deduplicates the kinds of work that hybrid matchers and overlapping
 //! sub-plans otherwise recompute:
 //!
-//! * **tokenizations** — the abbreviation-expanded token set of a name is
-//!   independent of any matcher configuration, so one cache serves every
-//!   name-based matcher;
-//! * **name-pair similarities** — keyed per [`NameEngine`] configuration
-//!   (its debug fingerprint), so `Name` and `TypeName` share results
-//!   exactly when their engines agree;
+//! * **tokenizations** — the abbreviation-expanded token set of an
+//!   element name is independent of any matcher configuration, so one
+//!   cache serves every name-based matcher. Only element names are
+//!   cached: `NamePath` derives a path's token set from its element
+//!   names' sets, and every name-based matcher scores its pairs from a
+//!   token table it builds per compute (see [`NameEngine::token_table`]),
+//!   so no name-pair similarity is memoized;
 //! * **per-matcher similarity matrices** — keyed by matcher name *and*
 //!   instance identity, so `Children`/`Leaves` reuse the `TypeName` matrix
 //!   the engine already computed (the standard library shares one
@@ -38,17 +39,15 @@
 //! The streaming-fused pruning path (see
 //! [`EngineConfig::fuse_pruning`](super::EngineConfig)) deliberately
 //! bypasses the *matrix* cache — its whole point is never materializing a
-//! full per-matcher matrix — but still shares the tokenization and
-//! name-pair caches, so fused and unfused stages of one run never repeat
-//! string work.
+//! full per-matcher matrix — but still shares the tokenization cache, so
+//! fused and unfused stages of one run tokenize each name once.
 //!
 //! [`PlanEngine`]: super::PlanEngine
-//! [`NameEngine`]: crate::matchers::name_engine::NameEngine
+//! [`NameEngine::token_table`]: crate::matchers::name_engine::NameEngine::token_table
 
-use super::cache::{private_scope, EngineCache, PairScope, PairSims};
+use super::cache::{private_scope, EngineCache, PairScope};
 use super::index::VocabIndex;
 use crate::cube::SimMatrix;
-use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -119,17 +118,6 @@ impl MatchMemo {
         self.cache.token_set(name, compute)
     }
 
-    /// A per-compute name-similarity cache bound to `engine`'s
-    /// configuration: local lookups first, the shared cross-matcher cache
-    /// on a local miss.
-    pub fn name_sim_cache(&self, engine: &NameEngine) -> NameSimCache {
-        let fingerprint = format!("{engine:?}");
-        NameSimCache {
-            shared: Some(self.cache.name_sims(fingerprint)),
-            local: HashMap::new(),
-        }
-    }
-
     /// The full similarity matrix of a matcher, computed at most once per
     /// scope (concurrent requests block on the first computation).
     /// Returned as a shared handle: consumers that only read (structural
@@ -197,46 +185,6 @@ impl Default for MatchMemo {
     }
 }
 
-/// A two-level name-pair similarity cache handed to one matcher compute:
-/// a lock-free local map in front of the memo's shared cross-matcher map.
-/// Without a memo (legacy direct `Matcher::compute` calls) it degrades to
-/// the purely local cache the hybrid matchers always used.
-pub struct NameSimCache {
-    shared: Option<PairSims>,
-    local: HashMap<(String, String), f64>,
-}
-
-impl NameSimCache {
-    /// A purely local cache (no cross-matcher sharing).
-    pub fn local() -> NameSimCache {
-        NameSimCache {
-            shared: None,
-            local: HashMap::new(),
-        }
-    }
-
-    /// The similarity of the name pair `(a, b)`, computing it via
-    /// `compute` on a miss of both cache levels.
-    pub fn get_or_compute(&mut self, a: &str, b: &str, compute: impl FnOnce() -> f64) -> f64 {
-        let key = (a.to_string(), b.to_string());
-        if let Some(&v) = self.local.get(&key) {
-            return v;
-        }
-        if let Some(shared) = &self.shared {
-            if let Some(&v) = shared.read().get(&key) {
-                self.local.insert(key, v);
-                return v;
-            }
-        }
-        let v = compute();
-        if let Some(shared) = &self.shared {
-            shared.write().insert(key.clone(), v);
-        }
-        self.local.insert(key, v);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,24 +202,6 @@ mod tests {
         let b = memo.token_set("shipTo", mk);
         assert_eq!(a, b);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn name_sims_share_per_engine_fingerprint() {
-        let memo = MatchMemo::new();
-        let engine = NameEngine::paper_default();
-        let mut c1 = memo.name_sim_cache(&engine);
-        assert_eq!(c1.get_or_compute("a", "b", || 0.25), 0.25);
-        // A second cache for the same engine sees the shared entry.
-        let mut c2 = memo.name_sim_cache(&engine);
-        assert_eq!(c2.get_or_compute("a", "b", || panic!("must hit")), 0.25);
-        // A differently configured engine does not.
-        let other = NameEngine {
-            aggregation: crate::combine::Aggregation::Min,
-            ..NameEngine::paper_default()
-        };
-        let mut c3 = memo.name_sim_cache(&other);
-        assert_eq!(c3.get_or_compute("a", "b", || 0.75), 0.75);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   report [`StageOutcome::fused`] and skip materializing the inner
 //!   `Matchers` stage;
 //! * **memoized shared work** — a per-execution [`MatchMemo`] caches
-//!   tokenizations, name-pair similarities and per-matcher matrices, so
+//!   tokenizations and per-matcher matrices, so
 //!   hybrids and overlapping sub-plans stop recomputing constituents (with
 //!   the standard library, the `All` strategy computes the `TypeName`
 //!   matrix once instead of three times); memoized matrices are shared by
@@ -118,7 +118,7 @@ pub use analyze::{
 pub use cache::{schema_fingerprint, CacheStats, EngineCache, ScopeWarmth};
 pub use index::{CandidateParams, CandidateScorer, IndexStats, VocabIndex};
 pub use mask::PairMask;
-pub use memo::{matcher_identity, MatchMemo, NameSimCache};
+pub use memo::{matcher_identity, MatchMemo};
 pub use plan::{MatchPlan, PlanError, PlanErrorKind, TopKPer};
 
 use crate::combine::{
@@ -475,8 +475,7 @@ impl<'l> PlanEngine<'l> {
     /// Like [`PlanEngine::execute`], but memoizing through a shared
     /// cross-request [`EngineCache`]: the execution's memo is scoped to
     /// the [`schema_fingerprint`]s of the two sides, so tokenizations,
-    /// name-pair similarities, pure matcher matrices and vocabulary
-    /// indexes computed by earlier executions against the same schemas
+    /// pure matcher matrices and vocabulary indexes computed by earlier executions against the same schemas
     /// (by content) are reused, and this execution's artifacts are left
     /// behind for later ones.
     ///

@@ -1,6 +1,6 @@
 //! Match task context and auxiliary information shared by all matchers.
 
-use crate::engine::{MatchMemo, NameSimCache, PairMask};
+use crate::engine::{MatchMemo, PairMask};
 use crate::matchers::datatype::TypeCompatTable;
 use crate::matchers::feedback::Feedback;
 use crate::matchers::instances::InstanceStore;
@@ -136,16 +136,6 @@ impl<'a> MatchContext<'a> {
     #[inline]
     pub fn allows(&self, i: usize, j: usize) -> bool {
         self.restriction.is_none_or(|mask| mask.allows(i, j))
-    }
-
-    /// A name-pair similarity cache for `engine`: shared across matchers
-    /// with the same engine configuration when a memo is attached, purely
-    /// local otherwise.
-    pub fn name_sim_cache(&self, engine: &NameEngine) -> NameSimCache {
-        match self.memo {
-            Some(memo) => memo.name_sim_cache(engine),
-            None => NameSimCache::local(),
-        }
     }
 
     /// The (memoized, engine-independent) token set of a name.

@@ -3,19 +3,20 @@
 //! live in [`super::structural`].)
 
 use crate::cube::{SimMatrix, SparseBuilder};
+use crate::engine::PairMask;
 use crate::matchers::context::MatchContext;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
+use coma_graph::{PathId, PathSet, Schema};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// Deduplicates the per-row/column keys of one schema side: returns the
 /// key id of every element plus the distinct keys in first-use order.
 /// Real schemas repeat element names heavily across paths (a 1000-path
 /// schema often has only a few hundred distinct names), so `Name` and
 /// `TypeName` compute their similarity tables over distinct keys and fan
-/// the values out, instead of paying a cache lookup per matrix cell.
+/// the values out, instead of paying a lookup per matrix cell.
 fn distinct_keys<K: Eq + Hash + Clone>(keys: impl Iterator<Item = K>) -> (Vec<usize>, Vec<K>) {
     let mut ids = Vec::new();
     let mut order: Vec<K> = Vec::new();
@@ -30,73 +31,207 @@ fn distinct_keys<K: Eq + Hash + Clone>(keys: impl Iterator<Item = K>) -> (Vec<us
     (ids, order)
 }
 
-/// Per-set token ids plus the distinct tokens in first-use order.
-fn index_tokens(sets: &[Arc<Vec<String>>]) -> (Vec<Vec<usize>>, Vec<&str>) {
-    let mut names: Vec<&str> = Vec::new();
-    let mut map: HashMap<&str, usize> = HashMap::new();
-    let per_set = sets
-        .iter()
-        .map(|ts| {
-            ts.iter()
-                .map(|t| {
-                    *map.entry(t.as_str()).or_insert_with(|| {
-                        names.push(t.as_str());
-                        names.len() - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    (per_set, names)
+/// The tokens of one compute, each interned once as an id shared by both
+/// sides, so two token sets are equal exactly when their id lists are.
+#[derive(Default)]
+struct Vocab {
+    ids: HashMap<String, u32>,
+    tokens: Vec<String>,
 }
 
-/// The row-major `src_names × tgt_names` table of name similarities,
-/// computed in two deduplicated levels: token-pair sims once per distinct
-/// token pair (schemas draw names from a bounded vocabulary, so this is
-/// small and independent of schema size), then one steps-2+3 combination
-/// per distinct name pair. The combination is cheap enough (an
-/// allocation-free `Both`/`Max1` scan over table lookups) that routing it
-/// through the shared name-pair cache would cost more in key allocations
-/// and hashing than it saves — the table is computed directly.
-fn name_sim_table(
+impl Vocab {
+    fn intern(&mut self, tokens: &[String]) -> Vec<u32> {
+        tokens
+            .iter()
+            .map(|token| match self.ids.get(token.as_str()) {
+                Some(&id) => id,
+                None => {
+                    let id =
+                        u32::try_from(self.tokens.len()).expect("fewer than 2^32 distinct tokens");
+                    self.ids.insert(token.clone(), id);
+                    self.tokens.push(token.clone());
+                    id
+                }
+            })
+            .collect()
+    }
+}
+
+/// The one path every name-based matcher scores through: the token sets
+/// of both sides of a compute (of element names, or of long path names)
+/// as ids of one shared [`Vocab`], and the token-pair table between them
+/// ([`NameEngine::token_table`]). A set pair is combined by
+/// [`NameEngine::combine_by`] over table lookups, so no string work is
+/// repeated per pair.
+struct NameScorer<'e> {
+    engine: &'e NameEngine,
+    src: Vec<Vec<u32>>,
+    tgt: Vec<Vec<u32>>,
+    /// The table column of each target token id. Source tokens are
+    /// interned first, so a source token's id is its table row.
+    col: Vec<u32>,
+    cols: usize,
+    table: Vec<f64>,
+}
+
+impl<'e> NameScorer<'e> {
+    /// A scorer over the token sets of element names.
+    fn names(
+        ctx: &MatchContext<'_>,
+        engine: &'e NameEngine,
+        src_names: &[&str],
+        tgt_names: &[&str],
+    ) -> NameScorer<'e> {
+        let mut vocab = Vocab::default();
+        let src = src_names
+            .iter()
+            .map(|name| vocab.intern(&ctx.token_set(engine, name)))
+            .collect();
+        let src_tokens = vocab.tokens.len();
+        let tgt = tgt_names
+            .iter()
+            .map(|name| vocab.intern(&ctx.token_set(engine, name)))
+            .collect();
+        NameScorer::new(ctx, engine, vocab, src_tokens, src, tgt)
+    }
+
+    /// A scorer over the token sets of long path names, indexed by path:
+    /// the source paths `wanted_rows` accepts and every target path.
+    fn paths(
+        ctx: &MatchContext<'_>,
+        engine: &'e NameEngine,
+        wanted_rows: impl Fn(usize) -> bool,
+    ) -> NameScorer<'e> {
+        let mut vocab = Vocab::default();
+        let (source, target) = (ctx.source_paths, ctx.target_paths);
+        let src = path_token_sets(source, wanted_rows, |p| {
+            vocab.intern(&ctx.token_set(engine, source.name(ctx.source, p)))
+        });
+        let src_tokens = vocab.tokens.len();
+        let tgt = path_token_sets(
+            target,
+            |_| true,
+            |p| vocab.intern(&ctx.token_set(engine, target.name(ctx.target, p))),
+        );
+        NameScorer::new(ctx, engine, vocab, src_tokens, src, tgt)
+    }
+
+    /// Fills the token table: source tokens are the vocabulary's first
+    /// `src_tokens` ids; target tokens get columns in first-use order.
+    fn new(
+        ctx: &MatchContext<'_>,
+        engine: &'e NameEngine,
+        vocab: Vocab,
+        src_tokens: usize,
+        src: Vec<Vec<u32>>,
+        tgt: Vec<Vec<u32>>,
+    ) -> NameScorer<'e> {
+        let mut col = vec![u32::MAX; vocab.tokens.len()];
+        let mut tgt_tokens: Vec<&str> = Vec::new();
+        for &id in tgt.iter().flatten() {
+            let slot = &mut col[id as usize];
+            if *slot == u32::MAX {
+                *slot = tgt_tokens.len() as u32;
+                tgt_tokens.push(&vocab.tokens[id as usize]);
+            }
+        }
+        let src_tokens: Vec<&str> = vocab.tokens[..src_tokens]
+            .iter()
+            .map(String::as_str)
+            .collect();
+        let table = engine.token_table(&src_tokens, &tgt_tokens, ctx.aux);
+        NameScorer {
+            engine,
+            src,
+            tgt,
+            col,
+            cols: tgt_tokens.len(),
+            table,
+        }
+    }
+
+    /// The similarity of source set `a` and target set `b`.
+    fn score(&self, a: usize, b: usize) -> f64 {
+        let (t1, t2) = (&self.src[a], &self.tgt[b]);
+        self.engine.combine_by(t1, t2, |i, j| {
+            self.table[t1[i] as usize * self.cols + self.col[t2[j] as usize] as usize]
+        })
+    }
+
+    /// The similarity table of every source set × every target set
+    /// (row-major), clamped like a `SimMatrix` cell.
+    fn table(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.src.len() * self.tgt.len());
+        for a in 0..self.src.len() {
+            out.extend((0..self.tgt.len()).map(|b| self.score(a, b).clamp(0.0, 1.0)));
+        }
+        out
+    }
+}
+
+/// The token set of every wanted path's long name — its element names
+/// joined by spaces, the string `NamePath` scores — without building that
+/// string: a path's set is its parent path's set followed by the new
+/// tokens of its own element name (`name_tokens`). Tokenizing the joined
+/// name gives the same set, because a space always ends a token and
+/// abbreviation expansion is token-wise.
+///
+/// Indexed by path; a path neither wanted nor an ancestor of a wanted one
+/// gets an empty set. Sets are derived in path order, so `name_tokens`
+/// sees every ancestor before its descendants.
+pub fn path_token_sets<T: Clone + PartialEq>(
+    paths: &PathSet,
+    wanted: impl Fn(usize) -> bool,
+    mut name_tokens: impl FnMut(PathId) -> Vec<T>,
+) -> Vec<Vec<T>> {
+    let ids: Vec<PathId> = paths.iter().collect();
+    // Paths come in DFS preorder, so a parent precedes its children: one
+    // backward pass marks every ancestor of a wanted path.
+    let mut needed: Vec<bool> = (0..ids.len()).map(&wanted).collect();
+    for p in (0..ids.len()).rev() {
+        if needed[p] {
+            if let Some(parent) = paths.parent(ids[p]) {
+                needed[parent.index()] = true;
+            }
+        }
+    }
+    let mut sets: Vec<Vec<T>> = vec![Vec::new(); ids.len()];
+    for (p, &id) in ids.iter().enumerate() {
+        if !needed[p] {
+            continue;
+        }
+        let mut set = paths
+            .parent(id)
+            .map_or_else(Vec::new, |parent| sets[parent.index()].clone());
+        for token in name_tokens(id) {
+            if !set.contains(&token) {
+                set.push(token);
+            }
+        }
+        sets[p] = set;
+    }
+    sets
+}
+
+/// The name similarity of every cell `mask` allows, in row-major order,
+/// combining each distinct (source name, target name) pair once.
+fn masked_name_sims(
     ctx: &MatchContext<'_>,
     engine: &NameEngine,
-    src_names: &[&str],
-    tgt_names: &[&str],
-) -> Vec<f64> {
-    let src_tokens: Vec<Arc<Vec<String>>> =
-        src_names.iter().map(|a| ctx.token_set(engine, a)).collect();
-    let tgt_tokens: Vec<Arc<Vec<String>>> =
-        tgt_names.iter().map(|b| ctx.token_set(engine, b)).collect();
-    let (src_name_toks, src_tok_names) = index_tokens(&src_tokens);
-    let (tgt_name_toks, tgt_tok_names) = index_tokens(&tgt_tokens);
-
-    let tt = tgt_tok_names.len();
-    let mut tok_table = vec![0.0; src_tok_names.len() * tt];
-    for (a, &ta) in src_tok_names.iter().enumerate() {
-        for (b, &tb) in tgt_tok_names.iter().enumerate() {
-            tok_table[a * tt + b] = engine.token_pair_similarity(ta, tb, ctx.aux);
+    mask: &PairMask,
+    mut emit: impl FnMut(usize, usize, f64),
+) {
+    let (src_ids, src_names) = distinct_keys((0..ctx.rows()).map(|i| ctx.source_name(i)));
+    let (tgt_ids, tgt_names) = distinct_keys((0..ctx.cols()).map(|j| ctx.target_name(j)));
+    let scorer = NameScorer::names(ctx, engine, &src_names, &tgt_names);
+    let mut sims: HashMap<(usize, usize), f64> = HashMap::new();
+    for (i, &a) in src_ids.iter().enumerate() {
+        for j in mask.allowed_in_row(i) {
+            let b = tgt_ids[j];
+            let sim = *sims.entry((a, b)).or_insert_with(|| scorer.score(a, b));
+            emit(i, j, sim);
         }
     }
-
-    let mut table = vec![0.0; src_names.len() * tgt_names.len()];
-    for (a_id, ids1) in src_name_toks.iter().enumerate() {
-        for (b_id, ids2) in tgt_name_toks.iter().enumerate() {
-            // Clamped like the restricted path's `SimMatrix::set`, so the
-            // sparse==dense bit-identity holds even for exotic engines.
-            let mut sims = SimMatrix::new(ids1.len(), ids2.len());
-            for (i, &ta) in ids1.iter().enumerate() {
-                let row = sims.row_mut(i);
-                for (dst, &tb) in row.iter_mut().zip(ids2) {
-                    *dst = tok_table[ta * tt + tb];
-                }
-            }
-            table[a_id * tgt_names.len() + b_id] = engine
-                .combine_token_sims(&src_tokens[a_id], &tgt_tokens[b_id], &sims)
-                .clamp(0.0, 1.0);
-        }
-    }
-    table
 }
 
 /// The hybrid `Name` matcher: tokenization, abbreviation expansion and a
@@ -126,19 +261,11 @@ impl Matcher for NameMatcher {
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let mut cache = ctx.name_sim_cache(&self.engine);
         if let Some(mask) = ctx.restriction {
-            // Sparse: only the allowed cells, straight through the cache,
-            // built directly into CSR storage (never an m × n buffer).
+            // Sparse: only the allowed cells, built directly into CSR
+            // storage (never an m × n buffer).
             let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
-            for i in 0..ctx.rows() {
-                let a = ctx.source_name(i);
-                for j in mask.allowed_in_row(i) {
-                    let t = ctx.target_name(j);
-                    let sim = cache.get_or_compute(a, t, || self.engine.similarity(a, t, ctx.aux));
-                    b.push(i, j, sim);
-                }
-            }
+            masked_name_sims(ctx, &self.engine, mask, |i, j, sim| b.push(i, j, sim));
             b.finish()
         } else {
             // Dense: one similarity per distinct name pair, fanned out to
@@ -160,7 +287,7 @@ impl Matcher for NameMatcher {
         let mut out = SimMatrix::new(rows.len(), ctx.cols());
         let (src_ids, src_names) = distinct_keys(rows.clone().map(|i| ctx.source_name(i)));
         let (tgt_ids, tgt_names) = distinct_keys((0..ctx.cols()).map(|j| ctx.target_name(j)));
-        let table = name_sim_table(ctx, &self.engine, &src_names, &tgt_names);
+        let table = NameScorer::names(ctx, &self.engine, &src_names, &tgt_names).table();
         for (i, &a_id) in src_ids.iter().enumerate() {
             let base = a_id * tgt_names.len();
             let row = out.row_mut(i);
@@ -212,107 +339,36 @@ impl Matcher for NamePathMatcher {
         let Some(mask) = ctx.restriction else {
             return self.compute_rows(ctx, 0..ctx.rows());
         };
-        // Pre-compute the token set of every path's long name once (shared
-        // through the memo when one is attached).
-        let src_tokens: Vec<(String, Arc<Vec<String>>)> = (0..ctx.rows())
-            .map(|i| {
-                let long = ctx
-                    .source_paths
-                    .join_names(ctx.source, ctx.source_elem(i), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let tgt_tokens: Vec<(String, Arc<Vec<String>>)> = (0..ctx.cols())
-            .map(|j| {
-                let long = ctx
-                    .target_paths
-                    .join_names(ctx.target, ctx.target_elem(j), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let mut cache = ctx.name_sim_cache(&self.engine);
-        // Sparse: allowed cells only, straight into CSR storage. Long
-        // path names never repeat, but their *tokens* come from a
-        // bounded vocabulary — so token-pair similarities are computed
-        // once per distinct token pair (like the dense `Name` path)
-        // and each allowed cell only pays the steps-2+3 combination
-        // over table lookups. Value-identical to
-        // `token_set_similarity` per cell: same token-pair values,
-        // same combination.
-        let src_sets: Vec<Arc<Vec<String>>> =
-            src_tokens.iter().map(|(_, t)| Arc::clone(t)).collect();
-        let tgt_sets: Vec<Arc<Vec<String>>> =
-            tgt_tokens.iter().map(|(_, t)| Arc::clone(t)).collect();
-        let (src_name_toks, src_tok_names) = index_tokens(&src_sets);
-        let (tgt_name_toks, tgt_tok_names) = index_tokens(&tgt_sets);
-        let tt = tgt_tok_names.len();
-        let mut tok_table = vec![0.0; src_tok_names.len() * tt];
-        for (a, &ta) in src_tok_names.iter().enumerate() {
-            for (b, &tb) in tgt_tok_names.iter().enumerate() {
-                tok_table[a * tt + b] = self.engine.token_pair_similarity(ta, tb, ctx.aux);
-            }
-        }
-        let mut builder = SparseBuilder::new(ctx.rows(), ctx.cols());
-        for (i, (a, t1)) in src_tokens.iter().enumerate() {
-            let ids1 = &src_name_toks[i];
+        // Sparse: allowed cells only, straight into CSR storage. Long path
+        // names never repeat, but their tokens come from a bounded
+        // vocabulary, so each allowed cell only pays the steps-2+3
+        // combination over token-table lookups.
+        let scorer = NameScorer::paths(ctx, &self.engine, |_| true);
+        let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
+        for i in 0..ctx.rows() {
             for j in mask.allowed_in_row(i) {
-                let (b, t2) = &tgt_tokens[j];
-                let ids2 = &tgt_name_toks[j];
-                let sim = cache.get_or_compute(a, b, || {
-                    let mut sims = SimMatrix::new(ids1.len(), ids2.len());
-                    for (x, &ta) in ids1.iter().enumerate() {
-                        let row = sims.row_mut(x);
-                        for (dst, &tb) in row.iter_mut().zip(ids2) {
-                            *dst = tok_table[ta * tt + tb];
-                        }
-                    }
-                    self.engine.combine_token_sims(t1, t2, &sims)
-                });
-                builder.push(i, j, sim);
+                b.push(i, j, scorer.score(i, j));
             }
         }
-        builder.finish()
+        b.finish()
     }
 
-    /// A contiguous block of rows of the dense matrix: the long names and
-    /// token sets of only those source paths, against every target path.
-    /// Each cell's similarity is a pure function of its two long names
-    /// (the shared name-pair cache merely avoids recomputation), so the
-    /// block is bit-identical to the same rows of [`Matcher::compute`].
+    /// A contiguous block of rows of the dense matrix: the path token
+    /// sets of only those source paths (and their ancestors), against
+    /// every target path. Each cell's similarity is a pure function of
+    /// its two long names, so the block is bit-identical to the same rows
+    /// of [`Matcher::compute`].
     fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
             // The engine only shards unrestricted computes; stay correct
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
-        let src_tokens: Vec<(String, Arc<Vec<String>>)> = rows
-            .clone()
-            .map(|i| {
-                let long = ctx
-                    .source_paths
-                    .join_names(ctx.source, ctx.source_elem(i), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let tgt_tokens: Vec<(String, Arc<Vec<String>>)> = (0..ctx.cols())
-            .map(|j| {
-                let long = ctx
-                    .target_paths
-                    .join_names(ctx.target, ctx.target_elem(j), " ");
-                let tokens = ctx.token_set(&self.engine, &long);
-                (long, tokens)
-            })
-            .collect();
-        let mut cache = ctx.name_sim_cache(&self.engine);
+        let scorer = NameScorer::paths(ctx, &self.engine, |i| rows.contains(&i));
         let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        for (i, (a, t1)) in src_tokens.iter().enumerate() {
-            for (j, (b, t2)) in tgt_tokens.iter().enumerate() {
-                let sim = cache
-                    .get_or_compute(a, b, || self.engine.token_set_similarity(t1, t2, ctx.aux));
-                out.set(i, j, sim);
+        for (r, i) in rows.clone().enumerate() {
+            for j in 0..ctx.cols() {
+                out.set(r, j, scorer.score(i, j));
             }
         }
         out
@@ -375,36 +431,30 @@ impl Matcher for TypeNameMatcher {
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
         let total = self.name_weight + self.type_weight;
-        let mut cache = ctx.name_sim_cache(&self.engine);
         if let Some(mask) = ctx.restriction {
-            // Sparse: only the allowed cells, straight through the cache,
-            // built directly into CSR storage.
+            // Sparse: only the allowed cells, built directly into CSR
+            // storage.
+            let datatypes = |schema: &Schema, paths: &PathSet| -> Vec<_> {
+                paths
+                    .iter()
+                    .map(|p| schema.node(paths.node_of(p)).datatype)
+                    .collect()
+            };
+            let src_types = datatypes(ctx.source, ctx.source_paths);
+            let tgt_types = datatypes(ctx.target, ctx.target_paths);
             let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
-            for i in 0..ctx.rows() {
-                let a_name = ctx.source_name(i);
-                let a_type = ctx
-                    .source
-                    .node(ctx.source_paths.node_of(ctx.source_elem(i)))
-                    .datatype;
-                for j in mask.allowed_in_row(i) {
-                    let b_name = ctx.target_name(j);
-                    let b_type = ctx
-                        .target
-                        .node(ctx.target_paths.node_of(ctx.target_elem(j)))
-                        .datatype;
-                    let name_sim = cache
-                        .get_or_compute(a_name, b_name, || {
-                            self.engine.similarity(a_name, b_name, ctx.aux)
-                        })
-                        .clamp(0.0, 1.0);
-                    let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
-                    b.push(
-                        i,
-                        j,
-                        (self.name_weight * name_sim + self.type_weight * type_sim) / total,
-                    );
-                }
-            }
+            masked_name_sims(ctx, &self.engine, mask, |i, j, name_sim| {
+                let type_sim = ctx
+                    .aux
+                    .type_compat
+                    .similarity_opt(src_types[i], tgt_types[j]);
+                let name_sim = name_sim.clamp(0.0, 1.0);
+                b.push(
+                    i,
+                    j,
+                    (self.name_weight * name_sim + self.type_weight * type_sim) / total,
+                );
+            });
             b.finish()
         } else {
             self.compute_rows(ctx, 0..ctx.rows())
@@ -443,7 +493,7 @@ impl Matcher for TypeNameMatcher {
         // with different datatypes share their name's value).
         let (src_name_ids, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));
         let (tgt_name_ids, tgt_names) = distinct_keys(tgt_profiles.iter().map(|&(name, _)| name));
-        let names = name_sim_table(ctx, &self.engine, &src_names, &tgt_names);
+        let names = NameScorer::names(ctx, &self.engine, &src_names, &tgt_names).table();
         let mut table = vec![0.0; src_profiles.len() * tgt_profiles.len()];
         for (a_id, &(_, a_type)) in src_profiles.iter().enumerate() {
             for (b_id, &(_, b_type)) in tgt_profiles.iter().enumerate() {

@@ -4,9 +4,11 @@ use crate::combine::{Aggregation, CombinedSim, DirectedCandidates, Direction, Se
 use crate::cube::SimMatrix;
 use crate::matchers::context::Auxiliary;
 use coma_strings::{
-    affix_similarity, edit_distance_similarity, ngram_similarity, soundex_similarity, tokenize,
+    affix_similarity, edit_distance_similarity, ngram_set, ngram_similarity, normalize_token,
+    soundex_similarity, tokenize,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A token-level simple matcher usable inside the hybrid `Name` matcher.
@@ -115,6 +117,44 @@ impl NameEngine {
             .iter()
             .map(|tm| tm.similarity(a, b, aux).clamp(0.0, 1.0))
             .collect();
+        self.aggregate(&sims)
+    }
+
+    /// The `src × tgt` table (row-major) of token-pair similarities: cell
+    /// `(i, j)` is exactly [`NameEngine::token_pair_similarity`] of
+    /// `src[i]` and `tgt[j]`. Each token's features are derived once
+    /// instead of once per pair: its n-gram set, interned as sorted
+    /// integer ids, and its normalized form for the synonym lookup. Affix,
+    /// EditDistance and Soundex keep the per-pair call.
+    ///
+    /// # Panics
+    /// Panics if the engine has no token matchers (nothing to aggregate).
+    pub fn token_table(&self, src: &[&str], tgt: &[&str], aux: &Auxiliary) -> Vec<f64> {
+        assert!(
+            !self.token_matchers.is_empty(),
+            "cannot aggregate an empty token-matcher list"
+        );
+        let kernels: Vec<TokenKernel<'_>> = self
+            .token_matchers
+            .iter()
+            .map(|&tm| TokenKernel::new(tm, src, tgt, aux))
+            .collect();
+        let mut sims = vec![0.0; kernels.len()];
+        let mut table = Vec::with_capacity(src.len() * tgt.len());
+        for i in 0..src.len() {
+            for j in 0..tgt.len() {
+                for (sim, kernel) in sims.iter_mut().zip(&kernels) {
+                    *sim = kernel.similarity(i, j).clamp(0.0, 1.0);
+                }
+                table.push(self.aggregate(&sims));
+            }
+        }
+        table
+    }
+
+    /// Step 1 for one token pair: folds its clamped constituent
+    /// similarities with the engine's aggregation.
+    fn aggregate(&self, sims: &[f64]) -> f64 {
         let value = match &self.aggregation {
             Aggregation::Max => sims.iter().copied().fold(f64::MIN, f64::max),
             Aggregation::Min => sims.iter().copied().fold(f64::MAX, f64::min),
@@ -133,11 +173,46 @@ impl NameEngine {
         value.clamp(0.0, 1.0)
     }
 
+    /// Steps 2+3 over token-table lookups: `lookup(i, j)` is the
+    /// token-pair similarity of `t1[i]` and `t2[j]` (a cell of
+    /// [`NameEngine::token_table`]). Equal to
+    /// [`NameEngine::combine_token_sims`] over the matrix of those
+    /// lookups; the paper-default `Both`/`Max1` selection never builds
+    /// that matrix. `T` is any token representation whose equality is
+    /// token identity (the hybrid matchers pass interned ids).
+    pub fn combine_by<T: PartialEq>(
+        &self,
+        t1: &[T],
+        t2: &[T],
+        lookup: impl Fn(usize, usize) -> f64,
+    ) -> f64 {
+        if t1.is_empty() && t2.is_empty() {
+            return 1.0;
+        }
+        if t1.is_empty() || t2.is_empty() {
+            return 0.0;
+        }
+        if t1 == t2 {
+            return 1.0;
+        }
+        let (m, n) = (t1.len(), t2.len());
+        if self.direction == Direction::Both && self.selection == Selection::max_n(1) {
+            return crate::combine::max1_both_combined(m, n, lookup, self.combined);
+        }
+        let mut sims = SimMatrix::new(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                sims.set(i, j, lookup(i, j));
+            }
+        }
+        let candidates = DirectedCandidates::select(&sims, self.direction, &self.selection);
+        self.combined.compute(&candidates, m, n)
+    }
+
     /// Steps 2+3 over a pre-computed token-pair similarity matrix (cell
     /// `(i, j)` = [`NameEngine::token_pair_similarity`] of `t1[i]`,
-    /// `t2[j]`). Factored out so callers holding a distinct-token table
-    /// (see the `Name`/`TypeName` dense paths) skip recomputing token
-    /// sims per name pair.
+    /// `t2[j]`). The per-pair reference formulation that
+    /// [`NameEngine::combine_by`] is tested against.
     pub fn combine_token_sims(&self, t1: &[String], t2: &[String], sims: &SimMatrix) -> f64 {
         if t1.is_empty() && t2.is_empty() {
             return 1.0;
@@ -170,7 +245,8 @@ impl NameEngine {
         self.combined.compute(&candidates, t1.len(), t2.len())
     }
 
-    /// Combined similarity of two pre-computed token sets.
+    /// Combined similarity of two pre-computed token sets, one token pair
+    /// at a time (the reference formulation of the kernel above).
     pub fn token_set_similarity(&self, t1: &[String], t2: &[String], aux: &Auxiliary) -> f64 {
         if t1.is_empty() && t2.is_empty() {
             return 1.0;
@@ -190,7 +266,10 @@ impl NameEngine {
         self.combine_token_sims(t1, t2, &matrix)
     }
 
-    /// Name-level similarity (tokenize + expand + combine).
+    /// Name-level similarity (tokenize + expand + combine), computed pair
+    /// by pair. The hybrid matchers score whole tables through
+    /// [`NameEngine::token_table`] and [`NameEngine::combine_by`] with
+    /// bit-identical results.
     pub fn similarity(&self, a: &str, b: &str, aux: &Auxiliary) -> f64 {
         let t1 = self.token_set(a, aux);
         let t2 = self.token_set(b, aux);
@@ -202,6 +281,150 @@ impl Default for NameEngine {
     fn default() -> Self {
         NameEngine::paper_default()
     }
+}
+
+/// One token matcher over the distinct tokens of both sides of a
+/// [`NameEngine::token_table`], with each token's features derived once.
+enum TokenKernel<'a> {
+    /// Each token's n-gram set as sorted ids of one shared gram
+    /// interner; empty exactly for the empty token.
+    NGram {
+        src: Vec<Vec<u32>>,
+        tgt: Vec<Vec<u32>>,
+    },
+    /// Each token's normalized form as an id, the id of the empty form,
+    /// and per form id the dictionary relations it takes part in.
+    Synonym {
+        src: Vec<u32>,
+        tgt: Vec<u32>,
+        empty: Option<u32>,
+        related: Vec<Vec<(u32, f64)>>,
+    },
+    /// The per-pair call.
+    PerPair {
+        matcher: TokenMatcher,
+        src: &'a [&'a str],
+        tgt: &'a [&'a str],
+        aux: &'a Auxiliary,
+    },
+}
+
+impl<'a> TokenKernel<'a> {
+    fn new(
+        matcher: TokenMatcher,
+        src: &'a [&'a str],
+        tgt: &'a [&'a str],
+        aux: &'a Auxiliary,
+    ) -> TokenKernel<'a> {
+        match matcher {
+            TokenMatcher::NGram(n) => {
+                let mut grams: HashMap<String, u32> = HashMap::new();
+                let mut gram_ids = |token: &str| -> Vec<u32> {
+                    if token.is_empty() {
+                        return Vec::new();
+                    }
+                    let mut ids: Vec<u32> = ngram_set(token, n)
+                        .into_iter()
+                        .map(|g| intern(&mut grams, g))
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                TokenKernel::NGram {
+                    src: src.iter().map(|t| gram_ids(t)).collect(),
+                    tgt: tgt.iter().map(|t| gram_ids(t)).collect(),
+                }
+            }
+            TokenMatcher::Synonym => {
+                let mut forms: HashMap<String, u32> = HashMap::new();
+                let mut form_id = |token: &str| intern(&mut forms, normalize_token(token));
+                let src = src.iter().map(|t| form_id(t)).collect();
+                let tgt = tgt.iter().map(|t| form_id(t)).collect();
+                let mut related = vec![Vec::new(); forms.len()];
+                // `SynonymTable::similarity` looks a pair up under its
+                // ordered key, so only ordered keys can ever match.
+                for (a, b, sim) in aux.synonyms.relations().filter(|(a, b, _)| a <= b) {
+                    if let (Some(&x), Some(&y)) = (forms.get(a), forms.get(b)) {
+                        related[x as usize].push((y, sim));
+                        if x != y {
+                            related[y as usize].push((x, sim));
+                        }
+                    }
+                }
+                TokenKernel::Synonym {
+                    src,
+                    tgt,
+                    empty: forms.get("").copied(),
+                    related,
+                }
+            }
+            matcher => TokenKernel::PerPair {
+                matcher,
+                src,
+                tgt,
+                aux,
+            },
+        }
+    }
+
+    /// The matcher's similarity of source token `i` and target token `j`:
+    /// the value [`TokenMatcher::similarity`] returns for them.
+    fn similarity(&self, i: usize, j: usize) -> f64 {
+        match self {
+            TokenKernel::NGram { src, tgt } => {
+                let (a, b) = (&src[i], &tgt[j]);
+                match (a.is_empty(), b.is_empty()) {
+                    (true, true) => 1.0,
+                    (true, false) | (false, true) => 0.0,
+                    _ => 2.0 * shared_count(a, b) as f64 / (a.len() + b.len()) as f64,
+                }
+            }
+            TokenKernel::Synonym {
+                src,
+                tgt,
+                empty,
+                related,
+            } => {
+                let (x, y) = (src[i], tgt[j]);
+                if x == y && Some(x) != *empty {
+                    return 1.0;
+                }
+                related[x as usize]
+                    .iter()
+                    .find(|&&(other, _)| other == y)
+                    .map_or(0.0, |&(_, sim)| sim)
+            }
+            TokenKernel::PerPair {
+                matcher,
+                src,
+                tgt,
+                aux,
+            } => matcher.similarity(src[i], tgt[j], aux),
+        }
+    }
+}
+
+/// The id of `key` in `ids`, assigning the next free id on first sight.
+fn intern(ids: &mut HashMap<String, u32>, key: String) -> u32 {
+    let next = u32::try_from(ids.len()).expect("fewer than 2^32 distinct keys");
+    *ids.entry(key).or_insert(next)
+}
+
+/// The number of ids two ascending id lists share.
+fn shared_count(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
 }
 
 #[cfg(test)]
@@ -261,21 +484,6 @@ mod tests {
         let e = NameEngine::paper_default();
         let toks = e.token_set("shipToShipDate", &aux());
         assert_eq!(toks, vec!["ship", "to", "date"]);
-    }
-
-    #[test]
-    fn cached_similarity_is_consistent() {
-        // The memoized path (NameSimCache, as used by the hybrid matchers)
-        // agrees with the direct computation.
-        let e = NameEngine::paper_default();
-        let a = aux();
-        let mut cache = crate::engine::NameSimCache::local();
-        let s1 = cache.get_or_compute("ShipTo", "DeliverTo", || {
-            e.similarity("ShipTo", "DeliverTo", &a)
-        });
-        let s2 = cache.get_or_compute("ShipTo", "DeliverTo", || panic!("must hit the cache"));
-        assert_eq!(s1, s2);
-        assert_eq!(s1, e.similarity("ShipTo", "DeliverTo", &a));
     }
 
     /// The `Both`/`Max1` fast path inside `combine_token_sims` computes

@@ -9,11 +9,11 @@ use crate::cube::{SimCube, SimMatrix};
 use crate::matchers::context::MatchContext;
 use crate::matchers::Matcher;
 use coma_graph::PathSet;
-use coma_repo::{Mapping, MappingKind, PivotChain, Repository};
+use coma_repo::{compose_oriented, Mapping, MappingKind, PivotPath, Repository};
 use coma_strings::tokenize;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// How the two similarities of a transitive chain `a↔b↔c` are combined by
 /// MatchCompose. The paper (Section 5.1) argues that the common
@@ -239,23 +239,40 @@ impl ReuseResolver {
     /// empty mapping (and empty `stats.paths`) when the graph holds no
     /// pivot path — callers use that to decide on fresh-match fallback.
     pub fn resolve(&self, repo: &Repository, source: &str, target: &str) -> ReuseResolution {
-        let chains = repo.pivot_chains(source, target, self.max_hops, |m| {
+        let paths = repo.pivot_paths(source, target, self.max_hops, |m| {
             self.kind_filter.is_none_or(|k| m.kind == k)
         });
-        let source_vocab = schema_vocabulary(repo, source);
-        let target_vocab = schema_vocabulary(repo, target);
-        let task_vocab: BTreeSet<String> = source_vocab.union(&target_vocab).cloned().collect();
-        let source_universe = schema_path_count(repo, source);
-        let target_universe = schema_path_count(repo, target);
-
-        let mut composed: Vec<(Mapping, ReusePathStats)> = chains
+        // Vocabularies are sets of interned token ids: the task sides',
+        // each path's pivots, and each stored mapping the paths walk.
+        let mut tokens = TokenIds::default();
+        let (source_vocab, source_universe) = schema_profile(repo, source, &mut tokens);
+        let (target_vocab, target_universe) = schema_profile(repo, target, &mut tokens);
+        let hop_vocabs = hop_vocabularies(&paths, &mut tokens);
+        let pivot_vocabs: Vec<Vec<usize>> = paths
             .iter()
-            .map(|chain| {
-                let mut acc = chain.hops[0].clone();
-                for hop in &chain.hops[1..] {
-                    acc = match_compose(&acc, hop, self.compose);
+            .map(|path| path.pivots.iter().flat_map(|p| tokens.of(p)).collect())
+            .collect();
+        let task_vocab = TaskVocab::new(tokens.len(), source_vocab.iter().chain(&target_vocab));
+        let combine = |a, b| self.compose.apply(a, b);
+
+        let mut composed: Vec<(Mapping, ReusePathStats)> = paths
+            .iter()
+            .zip(&pivot_vocabs)
+            .map(|(path, pivot_vocab)| {
+                // A pivot path has at least two hops (one pivot).
+                let mut acc = compose_oriented(path.hops[0], path.hops[1], combine);
+                for &hop in &path.hops[2..] {
+                    acc = compose_oriented((&acc, false), hop, combine);
                 }
-                let stats = path_stats(chain, &acc, &task_vocab, source_universe, target_universe);
+                let hop_ids = path.hops.iter().flat_map(|(hop, _)| {
+                    let (_, ids) = hop_vocabs
+                        .iter()
+                        .find(|(stored, _)| std::ptr::eq(*stored, *hop))
+                        .expect("every hop has a vocabulary");
+                    ids
+                });
+                let vocab_overlap = task_vocab.overlap(pivot_vocab.iter().chain(hop_ids));
+                let stats = path_stats(path, &acc, vocab_overlap, source_universe, target_universe);
                 (acc, stats)
             })
             .collect();
@@ -336,38 +353,132 @@ impl ReuseResolver {
     }
 }
 
-/// Tokens of a stored schema: its name plus every node name. Schemas not
-/// stored in the repository contribute their name only.
-fn schema_vocabulary(repo: &Repository, name: &str) -> BTreeSet<String> {
-    let mut vocab: BTreeSet<String> = tokenize(name).into_iter().collect();
-    if let Some(schema) = repo.schema(name) {
-        if let Ok(paths) = PathSet::new(schema) {
-            for id in paths.iter() {
-                vocab.extend(tokenize(paths.name(schema, id)));
+/// Tokens interned as dense ids, for one resolution.
+#[derive(Default)]
+struct TokenIds(HashMap<String, usize>);
+
+impl TokenIds {
+    /// The ids of `text`'s tokens.
+    fn of(&mut self, text: &str) -> Vec<usize> {
+        tokenize(text)
+            .into_iter()
+            .map(|token| {
+                let next = self.0.len();
+                *self.0.entry(token).or_insert(next)
+            })
+            .collect()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The task sides' vocabulary as a membership table over token ids.
+struct TaskVocab {
+    member: Vec<bool>,
+    size: usize,
+}
+
+impl TaskVocab {
+    fn new<'i>(tokens: usize, ids: impl Iterator<Item = &'i usize>) -> TaskVocab {
+        let mut member = vec![false; tokens];
+        for &id in ids {
+            member[id] = true;
+        }
+        let size = member.iter().filter(|&&m| m).count();
+        TaskVocab { member, size }
+    }
+
+    /// The Jaccard overlap of the token set `ids` (duplicates allowed)
+    /// with the task's vocabulary; 0 when both are empty.
+    fn overlap<'i>(&self, ids: impl Iterator<Item = &'i usize>) -> f64 {
+        let mut seen = vec![false; self.member.len()];
+        let (mut size, mut shared) = (0, 0);
+        for &id in ids {
+            if !seen[id] {
+                seen[id] = true;
+                size += 1;
+                shared += usize::from(self.member[id]);
             }
         }
+        let union = size + self.size - shared;
+        if union == 0 {
+            0.0
+        } else {
+            shared as f64 / union as f64
+        }
     }
-    vocab
 }
 
-/// Number of paths in a stored schema (`None` when the schema — or its
-/// unfolding — is unavailable; coverage then falls back to the composed
-/// mapping's own endpoints).
-fn schema_path_count(repo: &Repository, name: &str) -> Option<usize> {
-    repo.schema(name)
-        .and_then(|s| PathSet::new(s).ok())
-        .map(|p| p.len())
+/// The token ids of a stored schema — its name plus every element name —
+/// and its path count. A schema that is not stored (or cannot be
+/// unfolded) contributes its name only, and no count: coverage then falls
+/// back to the composed mapping's own endpoints.
+fn schema_profile(
+    repo: &Repository,
+    name: &str,
+    tokens: &mut TokenIds,
+) -> (Vec<usize>, Option<usize>) {
+    let mut ids = tokens.of(name);
+    let Some((schema, paths)) = repo
+        .schema(name)
+        .and_then(|s| PathSet::new(s).ok().map(|p| (s, p)))
+    else {
+        return (ids, None);
+    };
+    let names: HashSet<&str> = paths.iter().map(|id| paths.name(schema, id)).collect();
+    for element in names {
+        ids.extend(tokens.of(element));
+    }
+    (ids, Some(paths.len()))
 }
 
-/// Scores one composed pivot path.
+/// The token ids of every stored mapping `paths` walk: of all its
+/// correspondence paths, sorted and deduplicated. Paths through one edge
+/// share its stored mapping, so each is scanned once, and each path
+/// segment (element name) is tokenized once: a path's tokens are its
+/// segments' tokens, because `.` always ends a token.
+fn hop_vocabularies<'r>(
+    paths: &[PivotPath<'r>],
+    tokens: &mut TokenIds,
+) -> Vec<(&'r Mapping, Vec<usize>)> {
+    let mut stored: Vec<&Mapping> = Vec::new();
+    for &(hop, _) in paths.iter().flat_map(|path| &path.hops) {
+        if !stored.iter().any(|m| std::ptr::eq(*m, hop)) {
+            stored.push(hop);
+        }
+    }
+    let mut segment_ids: HashMap<&str, Vec<usize>> = HashMap::new();
+    stored
+        .into_iter()
+        .map(|hop| {
+            let mut ids = Vec::new();
+            for c in &hop.correspondences {
+                for segment in c.source.split('.').chain(c.target.split('.')) {
+                    let of_segment = segment_ids
+                        .entry(segment)
+                        .or_insert_with(|| tokens.of(segment));
+                    ids.extend_from_slice(of_segment);
+                }
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            (hop, ids)
+        })
+        .collect()
+}
+
+/// Scores one composed pivot path, given its vocabulary overlap with the
+/// task.
 fn path_stats(
-    chain: &PivotChain,
+    path: &PivotPath<'_>,
     composed: &Mapping,
-    task_vocab: &BTreeSet<String>,
+    vocab_overlap: f64,
     source_universe: Option<usize>,
     target_universe: Option<usize>,
 ) -> ReusePathStats {
-    let hops = chain.hops.len();
+    let hops = path.hops.len();
     let src_endpoints: BTreeSet<&str> = composed
         .correspondences
         .iter()
@@ -390,27 +501,9 @@ fn path_stats(
         + side(tgt_endpoints.len(), target_universe))
         / 2.0;
 
-    let mut path_vocab: BTreeSet<String> = BTreeSet::new();
-    for pivot in &chain.pivots {
-        path_vocab.extend(tokenize(pivot));
-    }
-    for hop in &chain.hops {
-        for c in &hop.correspondences {
-            path_vocab.extend(tokenize(&c.source));
-            path_vocab.extend(tokenize(&c.target));
-        }
-    }
-    let intersection = path_vocab.intersection(task_vocab).count();
-    let union = path_vocab.union(task_vocab).count();
-    let vocab_overlap = if union == 0 {
-        0.0
-    } else {
-        intersection as f64 / union as f64
-    };
-
     let score = (2.0 / hops as f64) * (0.7 * coverage + 0.3 * vocab_overlap);
     ReusePathStats {
-        via: chain.pivots.join("->"),
+        via: path.pivots.join("->"),
         hops,
         correspondences: composed.len(),
         coverage,

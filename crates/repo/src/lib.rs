@@ -36,5 +36,5 @@ mod store;
 
 pub use backend::{FileBackend, MemoryBackend, PersistentRepository, RepositoryBackend};
 pub use cube::StoredCube;
-pub use mapping::{Correspondence, Mapping, MappingKind};
-pub use store::{shared, PivotChain, Repository, RepositoryError, SharedRepository};
+pub use mapping::{compose_oriented, Correspondence, Mapping, MappingKind};
+pub use store::{shared, PivotChain, PivotPath, Repository, RepositoryError, SharedRepository};

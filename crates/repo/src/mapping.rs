@@ -1,4 +1,5 @@
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// How a stored mapping was produced. The paper's evaluation distinguishes
@@ -119,43 +120,7 @@ impl Mapping {
     /// pairs (Figure 4) is preserved — limiting it is the job of the match
     /// processing layer, which combines compose results with other matchers.
     pub fn compose(&self, other: &Mapping, combine: impl Fn(f64, f64) -> f64) -> Mapping {
-        // Hash join: index `other` on its source (= our target).
-        let mut index: HashMap<&str, Vec<&Correspondence>> = HashMap::new();
-        for c in &other.correspondences {
-            index.entry(c.source.as_str()).or_default().push(c);
-        }
-        let mut seen: HashMap<(String, String), f64> = HashMap::new();
-        let mut order: Vec<(String, String)> = Vec::new();
-        for left in &self.correspondences {
-            let Some(partners) = index.get(left.target.as_str()) else {
-                continue;
-            };
-            for right in partners {
-                let sim = combine(left.similarity, right.similarity).clamp(0.0, 1.0);
-                let key = (left.source.clone(), right.target.clone());
-                match seen.get_mut(&key) {
-                    Some(existing) => *existing = existing.max(sim),
-                    None => {
-                        seen.insert(key.clone(), sim);
-                        order.push(key);
-                    }
-                }
-            }
-        }
-        let mut out = Mapping::new(
-            self.source_schema.clone(),
-            other.target_schema.clone(),
-            MappingKind::Automatic,
-        );
-        for key in order {
-            let sim = seen[&key];
-            out.correspondences.push(Correspondence {
-                source: key.0,
-                target: key.1,
-                similarity: sim,
-            });
-        }
-        out
+        compose_oriented((self, false), (other, false), combine)
     }
 
     /// Whether the mapping relates the two named schemas, in either
@@ -176,6 +141,73 @@ impl Mapping {
             None
         }
     }
+}
+
+/// A correspondence's (from, to) element names, read forward or reversed.
+fn ends(c: &Correspondence, reversed: bool) -> (&str, &str) {
+    if reversed {
+        (&c.target, &c.source)
+    } else {
+        (&c.source, &c.target)
+    }
+}
+
+/// [`Mapping::compose`] over mappings that may be read reversed: a
+/// `(mapping, true)` operand is joined as its [`Mapping::reversed`] copy
+/// would be, without building that copy. Identical to composing the
+/// oriented copies.
+pub fn compose_oriented(
+    left: (&Mapping, bool),
+    right: (&Mapping, bool),
+    combine: impl Fn(f64, f64) -> f64,
+) -> Mapping {
+    // Hash join: index `right` on its from-side (= `left`'s to-side).
+    let mut index: HashMap<&str, Vec<&Correspondence>> = HashMap::new();
+    for c in &right.0.correspondences {
+        index.entry(ends(c, right.1).0).or_default().push(c);
+    }
+    let source_schema = if left.1 {
+        &left.0.target_schema
+    } else {
+        &left.0.source_schema
+    };
+    let target_schema = if right.1 {
+        &right.0.source_schema
+    } else {
+        &right.0.target_schema
+    };
+    let mut out = Mapping::new(
+        source_schema.clone(),
+        target_schema.clone(),
+        MappingKind::Automatic,
+    );
+    // Position of each composed (from, to) pair in `out`.
+    let mut seen: HashMap<(&str, &str), usize> = HashMap::new();
+    for l in &left.0.correspondences {
+        let (from, via) = ends(l, left.1);
+        let Some(partners) = index.get(via) else {
+            continue;
+        };
+        for r in partners {
+            let to = ends(r, right.1).1;
+            let sim = combine(l.similarity, r.similarity).clamp(0.0, 1.0);
+            match seen.entry((from, to)) {
+                Entry::Occupied(at) => {
+                    let existing = &mut out.correspondences[*at.get()].similarity;
+                    *existing = existing.max(sim);
+                }
+                Entry::Vacant(at) => {
+                    at.insert(out.correspondences.len());
+                    out.correspondences.push(Correspondence {
+                        source: from.to_string(),
+                        target: to.to_string(),
+                        similarity: sim,
+                    });
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -272,6 +304,29 @@ mod tests {
         let rev = m1.oriented("PO2", "PO1").unwrap();
         assert_eq!(rev.source_schema, "PO2");
         assert!(m1.oriented("PO1", "PO9").is_none());
+    }
+
+    /// Reading an operand reversed composes exactly like its reversed
+    /// copy, for every orientation of both operands, duplicates included.
+    #[test]
+    fn compose_oriented_equals_composing_reversed_copies() {
+        let (m1, mut m2) = figure3();
+        // A second path to the same pair: the larger similarity wins.
+        m2.push("PO2.Contact.e-mail", "PO3.Contact.email", 0.4);
+        let avg = |a: f64, b: f64| (a + b) / 2.0;
+        let copy = |m: &Mapping, reversed: bool| if reversed { m.reversed() } else { m.clone() };
+        for (a, b) in [(&m1, &m2), (&m2, &m1)] {
+            for ra in [false, true] {
+                for rb in [false, true] {
+                    let expected = copy(a, ra).compose(&copy(b, rb), avg);
+                    assert_eq!(compose_oriented((a, ra), (b, rb), avg), expected);
+                }
+            }
+        }
+        let composed = m1.compose(&m2, avg);
+        let reversed_both = compose_oriented((&m2, true), (&m1, true), avg);
+        assert_eq!(reversed_both.source_schema, "PO3");
+        assert_eq!(reversed_both.len(), composed.len());
     }
 
     #[test]

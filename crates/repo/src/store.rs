@@ -50,6 +50,21 @@ pub struct PivotChain {
     pub hops: Vec<Mapping>,
 }
 
+/// A [`PivotChain`] that borrows its hops from the repository instead of
+/// copying them: each hop is a stored mapping and whether it is read
+/// reversed (see [`compose_oriented`](crate::compose_oriented)). Every
+/// path through one edge shares that edge's stored mapping. Produced by
+/// [`Repository::pivot_paths`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PivotPath<'r> {
+    /// Names of the intermediate pivot schemas, in walk order.
+    pub pivots: Vec<String>,
+    /// The stored mappings along the path, each with `true` when it must
+    /// be reversed to point toward the target; `hops.len() ==
+    /// pivots.len() + 1`.
+    pub hops: Vec<(&'r Mapping, bool)>,
+}
+
 /// The COMA repository: schemas, mappings and similarity cubes.
 ///
 /// Deterministic iteration (BTreeMap / insertion-ordered vectors) keeps the
@@ -195,6 +210,28 @@ impl Repository {
         max_hops: usize,
         filter: impl Fn(&Mapping) -> bool,
     ) -> Vec<PivotChain> {
+        self.pivot_paths(source, target, max_hops, filter)
+            .into_iter()
+            .map(|path| PivotChain {
+                pivots: path.pivots,
+                hops: path
+                    .hops
+                    .into_iter()
+                    .map(|(m, reversed)| if reversed { m.reversed() } else { m.clone() })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// [`Repository::pivot_chains`] without copying a mapping: the same
+    /// paths in the same order, each hop borrowed from the repository.
+    pub fn pivot_paths(
+        &self,
+        source: &str,
+        target: &str,
+        max_hops: usize,
+        filter: impl Fn(&Mapping) -> bool,
+    ) -> Vec<PivotPath<'_>> {
         if source == target || max_hops < 2 {
             return Vec::new();
         }
@@ -223,14 +260,14 @@ impl Repository {
     /// Depth-first enumeration of simple pivot paths. `path` holds the
     /// nodes walked so far (starting at the task source); reaching
     /// `target` with at least one intermediate pivot emits the chain.
-    fn chain_walk<'a>(
-        &self,
+    fn chain_walk<'r, 'a>(
+        &'r self,
         target: &'a str,
         max_hops: usize,
         filter: &impl Fn(&Mapping) -> bool,
         adjacency: &BTreeMap<&'a str, BTreeSet<&'a str>>,
         path: &mut Vec<&'a str>,
-        out: &mut Vec<PivotChain>,
+        out: &mut Vec<PivotPath<'r>>,
     ) {
         let last = *path.last().expect("path starts at the source");
         let Some(neighbors) = adjacency.get(last) else {
@@ -256,22 +293,22 @@ impl Repository {
 
     /// Emits every combination of qualifying oriented mappings along one
     /// node path (`nodes` + the final `target`).
-    fn emit_chains(
-        &self,
+    fn emit_chains<'r>(
+        &'r self,
         nodes: &[&str],
         target: &str,
         filter: &impl Fn(&Mapping) -> bool,
-        out: &mut Vec<PivotChain>,
+        out: &mut Vec<PivotPath<'r>>,
     ) {
         let mut endpoints: Vec<&str> = nodes.to_vec();
         endpoints.push(target);
-        let per_hop: Vec<Vec<Mapping>> = endpoints
+        let per_hop: Vec<Vec<(&Mapping, bool)>> = endpoints
             .windows(2)
             .map(|w| {
                 self.mappings
                     .iter()
-                    .filter(|m| filter(m))
-                    .filter_map(|m| m.oriented(w[0], w[1]))
+                    .filter(|m| filter(m) && m.relates(w[0], w[1]))
+                    .map(|m| (m, m.source_schema != w[0] || m.target_schema != w[1]))
                     .collect()
             })
             .collect();
@@ -279,20 +316,20 @@ impl Repository {
             return;
         }
         let pivots: Vec<String> = nodes[1..].iter().map(|s| (*s).to_string()).collect();
-        let mut combos: Vec<Vec<Mapping>> = vec![Vec::new()];
+        let mut combos: Vec<Vec<(&Mapping, bool)>> = vec![Vec::new()];
         for hop in &per_hop {
             let mut grown = Vec::with_capacity(combos.len() * hop.len());
             for combo in &combos {
-                for m in hop {
+                for &m in hop {
                     let mut c = combo.clone();
-                    c.push(m.clone());
+                    c.push(m);
                     grown.push(c);
                 }
             }
             combos = grown;
         }
         for hops in combos {
-            out.push(PivotChain {
+            out.push(PivotPath {
                 pivots: pivots.clone(),
                 hops,
             });

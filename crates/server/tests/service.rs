@@ -292,6 +292,67 @@ fn repeated_match_request_hits_the_cross_request_memo() {
     handle.join().unwrap();
 }
 
+/// The tenant cache keeps one tokenization per distinct element name:
+/// `NamePath` derives its long-name token sets from the element names'
+/// sets, so no long path name (which the scope LRU would never evict)
+/// ever enters the cache.
+#[test]
+fn tenant_cache_tokenizes_element_names_only() {
+    let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (socket, handle) = spawn_server(state, "tokens");
+    let mut client = connect(&socket);
+
+    let schemas = [
+        ("Tok_a", 4, 5, "A"),
+        ("Tok_b", 5, 4, "B"),
+        ("Tok_c", 3, 6, "C"),
+    ];
+    let mut element_names = std::collections::BTreeSet::new();
+    for (name, tables, columns, variant) in schemas {
+        let schema = inline(name, tables, columns, variant);
+        let imported = coma_sql::import_ddl(&schema.text, name).unwrap();
+        let paths = coma_graph::PathSet::new(&imported).unwrap();
+        element_names.extend(paths.iter().map(|p| paths.name(&imported, p).to_string()));
+        client
+            .call_ok(&Request::PutSchema("acme".to_string(), schema))
+            .unwrap();
+    }
+    let stored = |name: &str| SchemaRef::Stored(name.to_string());
+    for (source, target) in [("Tok_a", "Tok_b"), ("Tok_b", "Tok_c"), ("Tok_c", "Tok_a")] {
+        for plan in [
+            PlanSpec::Default,
+            PlanSpec::TopKPruned(3),
+            PlanSpec::CandidateIndex(3),
+        ] {
+            client
+                .call_ok(&Request::Match(MatchRequest {
+                    tenant: "acme".to_string(),
+                    source: stored(source),
+                    target: stored(target),
+                    plan,
+                    config: MatchConfig::default(),
+                    store: false,
+                }))
+                .unwrap();
+        }
+    }
+
+    let Response::Stats(stats) = client.call_ok(&Request::Stats("acme".to_string())).unwrap()
+    else {
+        panic!("expected Stats");
+    };
+    assert!(stats.cache.token_entries > 0, "matches must tokenize names");
+    assert!(
+        stats.cache.token_entries <= element_names.len() as u64,
+        "{} cached tokenizations for {} distinct element names: long path names leaked in",
+        stats.cache.token_entries,
+        element_names.len()
+    );
+
+    client.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn concurrent_clients_share_one_server() {
     let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();

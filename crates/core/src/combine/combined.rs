@@ -73,15 +73,28 @@ impl CombinedSim {
     }
 }
 
-/// The allocation-free `Both`/`Max1` pipeline over an `m × n` similarity
-/// lookup: per column the best row (strictly greater wins, first index
-/// takes ties — [`best_of`]'s rule), per row the best column, folded into
-/// the combined similarity with exactly the accumulation order of
+/// The `Both`/`Max1` pipeline over an `m × n` similarity lookup: per
+/// column the best row, per row the best column, folded into the
+/// combined similarity with exactly the accumulation order of
 /// [`DirectedCandidates::select`] + [`CombinedSim::compute`]. Shared by
 /// the structural matchers' per-cell set similarity and the name engine's
 /// token-set combination — the two hottest inner loops of a match task.
 /// Callers pass pre-clamped lookups (mirroring the `SimMatrix::set` clamp
 /// of the materialized formulation).
+///
+/// A set pair of more than [`TWO_SCAN_CELLS`] cells is read once, row by
+/// row, keeping the row's best in a register and every column's best in
+/// a buffer (on the stack up to [`STACK_COLS`] columns). That pass keeps
+/// only the best *values*: the strictly-greater, first-index-wins rule
+/// of [`best_of`] decides which index a tie selects, and neither fold
+/// reads it. `Average` sums the positive bests (per-target bests in
+/// column order, per-source bests in row order), and `Dice` counts the
+/// elements whose best is positive — exactly the elements the candidate
+/// lists mark matched, because a column's selected row holds a positive
+/// cell and so has a positive best of its own (and likewise for a row's
+/// selected column). Smaller pairs — most token sets — scan the columns
+/// and then the rows with that rule: re-reading a few cells costs less
+/// there than setting up the buffer.
 ///
 /// [`best_of`]: super::selection
 pub(crate) fn max1_both_combined(
@@ -90,70 +103,120 @@ pub(crate) fn max1_both_combined(
     lookup: impl Fn(usize, usize) -> f64,
     combined: CombinedSim,
 ) -> f64 {
-    let best_for_col = |j: usize| -> (usize, f64) {
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for i in 0..m {
-            let v = lookup(i, j);
-            if v > best.1 {
-                best = (i, v);
-            }
-        }
-        best
-    };
-    let best_for_row = |i: usize| -> (usize, f64) {
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for j in 0..n {
-            let v = lookup(i, j);
-            if v > best.1 {
-                best = (j, v);
-            }
-        }
-        best
-    };
-    match combined {
-        CombinedSim::Average => {
-            // Two separate accumulators, then one add — the exact fold
-            // shape of `CombinedSim::Average` over the two directional
-            // candidate lists.
-            let mut ft_sum = 0.0;
-            for j in 0..n {
-                let (_, v) = best_for_col(j);
-                if v > 0.0 {
-                    ft_sum += v;
-                }
-            }
-            let mut fs_sum = 0.0;
+    if m * n <= TWO_SCAN_CELLS {
+        // Per column the best row, then per row the best column, each
+        // with its index, as the candidate lists select them. On real
+        // token tables these branches predict well, which the selects
+        // below would give away.
+        let best_for_col = |j: usize| -> (usize, f64) {
+            let mut best = (0usize, f64::NEG_INFINITY);
             for i in 0..m {
-                let (_, v) = best_for_row(i);
-                if v > 0.0 {
-                    fs_sum += v;
+                let v = lookup(i, j);
+                if v > best.1 {
+                    best = (i, v);
                 }
             }
-            ((ft_sum + fs_sum) / (m + n) as f64).clamp(0.0, 1.0)
-        }
-        CombinedSim::Dice => {
-            let mut matched_src = vec![false; m];
-            let mut matched_tgt = vec![false; n];
-            for (j, tgt) in matched_tgt.iter_mut().enumerate() {
-                let (i, v) = best_for_col(j);
-                if v > 0.0 {
-                    *tgt = true;
-                    matched_src[i] = true;
+            best
+        };
+        let best_for_row = |i: usize| -> (usize, f64) {
+            let mut best = (0usize, f64::NEG_INFINITY);
+            for j in 0..n {
+                let v = lookup(i, j);
+                if v > best.1 {
+                    best = (j, v);
                 }
             }
-            for (i, src) in matched_src.iter_mut().enumerate() {
-                let (j, v) = best_for_row(i);
-                if v > 0.0 {
-                    *src = true;
-                    matched_tgt[j] = true;
+            best
+        };
+        return match combined {
+            CombinedSim::Average => {
+                let mut ft_sum = 0.0;
+                for j in 0..n {
+                    let (_, v) = best_for_col(j);
+                    if v > 0.0 {
+                        ft_sum += v;
+                    }
                 }
+                let mut fs_sum = 0.0;
+                for i in 0..m {
+                    let (_, v) = best_for_row(i);
+                    if v > 0.0 {
+                        fs_sum += v;
+                    }
+                }
+                ((ft_sum + fs_sum) / (m + n) as f64).clamp(0.0, 1.0)
             }
-            let matched = matched_src.iter().filter(|&&x| x).count()
-                + matched_tgt.iter().filter(|&&x| x).count();
-            (matched as f64 / (m + n) as f64).clamp(0.0, 1.0)
-        }
+            CombinedSim::Dice => {
+                let mut matched_src = vec![false; m];
+                let mut matched_tgt = vec![false; n];
+                for (j, tgt) in matched_tgt.iter_mut().enumerate() {
+                    let (i, v) = best_for_col(j);
+                    if v > 0.0 {
+                        *tgt = true;
+                        matched_src[i] = true;
+                    }
+                }
+                for (i, src) in matched_src.iter_mut().enumerate() {
+                    let (j, v) = best_for_row(i);
+                    if v > 0.0 {
+                        *src = true;
+                        matched_tgt[j] = true;
+                    }
+                }
+                let matched = matched_src.iter().filter(|&&x| x).count()
+                    + matched_tgt.iter().filter(|&&x| x).count();
+                (matched as f64 / (m + n) as f64).clamp(0.0, 1.0)
+            }
+        };
     }
+    // Selects, not branches: a data-dependent branch per cell mispredicts
+    // often enough to cost more than the cell read itself.
+    let max = |best: f64, v: f64| if v > best { v } else { best };
+    // The positive per-source (`fs`) and per-target (`ft`) bests: their
+    // sums and counts.
+    let (mut fs_sum, mut fs_hits) = (0.0, 0usize);
+    let (mut ft_sum, mut ft_hits) = (0.0, 0usize);
+    let tally = |best: f64, sum: &mut f64, hits: &mut usize| {
+        if best > 0.0 {
+            *sum += best;
+            *hits += 1;
+        }
+    };
+    let mut stack = [f64::NEG_INFINITY; STACK_COLS];
+    let mut heap = Vec::new();
+    let col_best = if n <= STACK_COLS {
+        &mut stack[..n]
+    } else {
+        heap.resize(n, f64::NEG_INFINITY);
+        &mut heap[..]
+    };
+    for i in 0..m {
+        let mut row_best = f64::NEG_INFINITY;
+        for (j, col) in col_best.iter_mut().enumerate() {
+            let v = lookup(i, j);
+            row_best = max(row_best, v);
+            *col = max(*col, v);
+        }
+        tally(row_best, &mut fs_sum, &mut fs_hits);
+    }
+    for &best in col_best.iter() {
+        tally(best, &mut ft_sum, &mut ft_hits);
+    }
+    let value = match combined {
+        // Two separate accumulators, then one add — the exact fold shape
+        // of `CombinedSim::Average` over the two candidate lists.
+        CombinedSim::Average => (ft_sum + fs_sum) / (m + n) as f64,
+        CombinedSim::Dice => (ft_hits + fs_hits) as f64 / (m + n) as f64,
+    };
+    value.clamp(0.0, 1.0)
 }
+
+/// Largest set pair, in cells, that [`max1_both_combined`] scans twice.
+const TWO_SCAN_CELLS: usize = 9;
+
+/// Widest set whose column bests [`max1_both_combined`] keeps on the
+/// stack.
+const STACK_COLS: usize = 32;
 
 impl fmt::Display for CombinedSim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

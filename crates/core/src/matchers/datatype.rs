@@ -1,5 +1,8 @@
-//! The data-type compatibility table of the `DataType` matcher.
+//! The data-type compatibility table of the `DataType` matcher, and the
+//! per-compute table of datatype similarities the `DataType` and
+//! `TypeName` matchers score through.
 
+use crate::matchers::context::MatchContext;
 use coma_graph::DataType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -108,6 +111,78 @@ impl Default for TypeCompatTable {
     fn default() -> Self {
         TypeCompatTable::standard()
     }
+}
+
+/// The datatype similarity of one compute's element pairs. Every element
+/// carries the id of its datatype among its side's distinct datatypes
+/// (untyped counts as one), and one table holds
+/// [`TypeCompatTable::similarity_opt`] of every distinct pair: at most
+/// 15 × 15 hash probes per compute, and two index loads per cell.
+pub(crate) struct TypeSims {
+    /// The type id of each source row the table was built for, in order.
+    pub(crate) src: Vec<u8>,
+    /// The type id of each target column.
+    pub(crate) tgt: Vec<u8>,
+    /// The number of distinct target types: the table's row length.
+    cols: usize,
+    table: Vec<f64>,
+}
+
+impl TypeSims {
+    /// The table of source rows `rows` against every target column.
+    pub(crate) fn new(ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> TypeSims {
+        let (src, src_types) = distinct_types(rows.map(|i| {
+            let path = ctx.source_elem(i);
+            ctx.source.node(ctx.source_paths.node_of(path)).datatype
+        }));
+        let (tgt, tgt_types) = distinct_types((0..ctx.cols()).map(|j| {
+            let path = ctx.target_elem(j);
+            ctx.target.node(ctx.target_paths.node_of(path)).datatype
+        }));
+        let compat = &ctx.aux.type_compat;
+        let table = src_types
+            .iter()
+            .flat_map(|&a| tgt_types.iter().map(move |&b| compat.similarity_opt(a, b)))
+            .collect();
+        TypeSims {
+            src,
+            tgt,
+            cols: tgt_types.len(),
+            table,
+        }
+    }
+
+    /// The similarity of source type id `a` and target type id `b`.
+    #[inline]
+    pub(crate) fn by_ids(&self, a: u8, b: u8) -> f64 {
+        self.table[usize::from(a) * self.cols + usize::from(b)]
+    }
+
+    /// The similarity of the `r`-th row the table was built for and
+    /// target column `j`.
+    #[inline]
+    pub(crate) fn get(&self, r: usize, j: usize) -> f64 {
+        self.by_ids(self.src[r], self.tgt[j])
+    }
+}
+
+/// The id of every element's datatype among the distinct datatypes of its
+/// side, plus those datatypes in first-use order. A side has at most 15
+/// of them, so a linear search beats hashing.
+fn distinct_types(
+    types: impl Iterator<Item = Option<DataType>>,
+) -> (Vec<u8>, Vec<Option<DataType>>) {
+    let mut order: Vec<Option<DataType>> = Vec::new();
+    let ids = types
+        .map(|t| {
+            let id = order.iter().position(|&u| u == t).unwrap_or_else(|| {
+                order.push(t);
+                order.len() - 1
+            });
+            u8::try_from(id).expect("fewer than 256 datatypes")
+        })
+        .collect();
+    (ids, order)
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 use crate::cube::{SimMatrix, SparseBuilder};
 use crate::engine::PairMask;
 use crate::matchers::context::MatchContext;
+use crate::matchers::datatype::TypeSims;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
-use coma_graph::{PathId, PathSet, Schema};
+use coma_graph::{PathId, PathSet};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -434,20 +435,10 @@ impl Matcher for TypeNameMatcher {
         if let Some(mask) = ctx.restriction {
             // Sparse: only the allowed cells, built directly into CSR
             // storage.
-            let datatypes = |schema: &Schema, paths: &PathSet| -> Vec<_> {
-                paths
-                    .iter()
-                    .map(|p| schema.node(paths.node_of(p)).datatype)
-                    .collect()
-            };
-            let src_types = datatypes(ctx.source, ctx.source_paths);
-            let tgt_types = datatypes(ctx.target, ctx.target_paths);
+            let types = TypeSims::new(ctx, 0..ctx.rows());
             let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
             masked_name_sims(ctx, &self.engine, mask, |i, j, name_sim| {
-                let type_sim = ctx
-                    .aux
-                    .type_compat
-                    .similarity_opt(src_types[i], tgt_types[j]);
+                let type_sim = types.get(i, j);
                 let name_sim = name_sim.clamp(0.0, 1.0);
                 b.push(
                     i,
@@ -472,40 +463,43 @@ impl Matcher for TypeNameMatcher {
             return self.compute(ctx).row_range(rows);
         }
         let total = self.name_weight + self.type_weight;
-        let mut out = SimMatrix::new(rows.len(), ctx.cols());
         // Dense: one weighted similarity per distinct (name, datatype)
-        // profile pair, fanned out to every cell that shares it.
-        let (src_ids, src_profiles) = distinct_keys(rows.clone().map(|i| {
-            let datatype = ctx
-                .source
-                .node(ctx.source_paths.node_of(ctx.source_elem(i)))
-                .datatype;
-            (ctx.source_name(i), datatype)
-        }));
-        let (tgt_ids, tgt_profiles) = distinct_keys((0..ctx.cols()).map(|j| {
-            let datatype = ctx
-                .target
-                .node(ctx.target_paths.node_of(ctx.target_elem(j)))
-                .datatype;
-            (ctx.target_name(j), datatype)
-        }));
-        // Name similarities deduplicate one level further (profiles
-        // with different datatypes share their name's value).
-        let (src_name_ids, src_names) = distinct_keys(src_profiles.iter().map(|&(name, _)| name));
-        let (tgt_name_ids, tgt_names) = distinct_keys(tgt_profiles.iter().map(|&(name, _)| name));
-        let names = NameScorer::names(ctx, &self.engine, &src_names, &tgt_names).table();
-        let mut table = vec![0.0; src_profiles.len() * tgt_profiles.len()];
-        for (a_id, &(_, a_type)) in src_profiles.iter().enumerate() {
-            for (b_id, &(_, b_type)) in tgt_profiles.iter().enumerate() {
-                let name_sim = names[src_name_ids[a_id] * tgt_names.len() + tgt_name_ids[b_id]];
-                let type_sim = ctx.aux.type_compat.similarity_opt(a_type, b_type);
-                table[a_id * tgt_profiles.len() + b_id] =
-                    ((self.name_weight * name_sim + self.type_weight * type_sim) / total)
-                        .clamp(0.0, 1.0);
+        // profile pair, fanned out to every cell that shares it. The
+        // per-compute tables are gone before the output buffer exists.
+        let (src_ids, tgt_ids, tgt_count, table) = {
+            let types = TypeSims::new(ctx, rows.clone());
+            let (src_ids, src_profiles) = distinct_keys(
+                rows.clone()
+                    .zip(&types.src)
+                    .map(|(i, &t)| (ctx.source_name(i), t)),
+            );
+            let (tgt_ids, tgt_profiles) = distinct_keys(
+                (0..ctx.cols())
+                    .zip(&types.tgt)
+                    .map(|(j, &t)| (ctx.target_name(j), t)),
+            );
+            // Name similarities deduplicate one level further (profiles
+            // with different datatypes share their name's value).
+            let (src_name_ids, src_names) =
+                distinct_keys(src_profiles.iter().map(|&(name, _)| name));
+            let (tgt_name_ids, tgt_names) =
+                distinct_keys(tgt_profiles.iter().map(|&(name, _)| name));
+            let names = NameScorer::names(ctx, &self.engine, &src_names, &tgt_names).table();
+            let mut table = vec![0.0; src_profiles.len() * tgt_profiles.len()];
+            for (a_id, &(_, a_type)) in src_profiles.iter().enumerate() {
+                for (b_id, &(_, b_type)) in tgt_profiles.iter().enumerate() {
+                    let name_sim = names[src_name_ids[a_id] * tgt_names.len() + tgt_name_ids[b_id]];
+                    let type_sim = types.by_ids(a_type, b_type);
+                    table[a_id * tgt_profiles.len() + b_id] =
+                        ((self.name_weight * name_sim + self.type_weight * type_sim) / total)
+                            .clamp(0.0, 1.0);
+                }
             }
-        }
+            (src_ids, tgt_ids, tgt_profiles.len(), table)
+        };
+        let mut out = SimMatrix::new(rows.len(), ctx.cols());
         for (i, &a_id) in src_ids.iter().enumerate() {
-            let base = a_id * tgt_profiles.len();
+            let base = a_id * tgt_count;
             let row = out.row_mut(i);
             for (dst, &b_id) in row.iter_mut().zip(&tgt_ids) {
                 *dst = table[base + b_id];

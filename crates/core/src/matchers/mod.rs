@@ -52,8 +52,9 @@ pub trait Matcher: Send + Sync {
     /// precondition for the engine's row-sharded execution to be a win.
     /// True for matchers whose per-row work is independent of other rows
     /// given their (memoized) shared tables: the cell-local hybrids
-    /// (`Name`, `NamePath`, `TypeName`) and `Leaves` (independent rows
-    /// over the shared leaf-similarity table). `Children` stays `false`:
+    /// (`Name`, `NamePath`, `TypeName`), `DataType`, and `Leaves`
+    /// (independent rows over the shared leaf-similarity table).
+    /// `Children` stays `false`:
     /// its inner-pair recursion reads other rows' results. The
     /// conservative default is `false` (third-party matchers keep working
     /// unsharded).

@@ -224,9 +224,9 @@ impl NameEngine {
             return 1.0;
         }
         // The paper-default `Both`/`Max1` combination runs once per
-        // distinct name pair of a match task — take the shared
-        // allocation-free pipeline (value-identical to select + compute;
-        // cells already carry the clamped token-pair values).
+        // distinct name pair of a match task — take the shared kernel
+        // (value-identical to select + compute; cells already carry the
+        // clamped token-pair values).
         if self.direction == Direction::Both
             && self.selection == Selection::max_n(1)
             && !sims.is_sparse()

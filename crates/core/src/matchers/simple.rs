@@ -2,8 +2,9 @@
 //! `Soundex` (string matchers on element names), `Synonym` (dictionary
 //! lookup), `DataType` (compatibility table) and `UserFeedback`.
 
-use crate::cube::SimMatrix;
+use crate::cube::{SimMatrix, SparseBuilder};
 use crate::matchers::context::MatchContext;
+use crate::matchers::datatype::TypeSims;
 use crate::matchers::name_engine::TokenMatcher;
 use crate::matchers::Matcher;
 use std::collections::HashMap;
@@ -86,7 +87,9 @@ impl Matcher for SimpleNameMatcher {
 }
 
 /// The `DataType` matcher: similarity of the generic data types of two
-/// elements under the compatibility table (Section 4.1).
+/// elements under the compatibility table (Section 4.1). Each cell is a
+/// lookup in a per-compute table over the distinct datatypes of each
+/// side.
 #[derive(Debug, Clone, Default)]
 pub struct DataTypeMatcher;
 
@@ -96,21 +99,48 @@ impl Matcher for DataTypeMatcher {
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let mut out = SimMatrix::new(ctx.rows(), ctx.cols());
+        let Some(mask) = ctx.restriction else {
+            return self.compute_rows(ctx, 0..ctx.rows());
+        };
+        // Sparse: only the allowed cells, straight into CSR storage.
+        let types = TypeSims::new(ctx, 0..ctx.rows());
+        let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
         for i in 0..ctx.rows() {
-            let a = ctx
-                .source
-                .node(ctx.source_paths.node_of(ctx.source_elem(i)))
-                .datatype;
-            for j in 0..ctx.cols() {
-                let b = ctx
-                    .target
-                    .node(ctx.target_paths.node_of(ctx.target_elem(j)))
-                    .datatype;
-                out.set(i, j, ctx.aux.type_compat.similarity_opt(a, b));
+            for j in mask.allowed_in_row(i) {
+                b.push(i, j, types.get(i, j));
+            }
+        }
+        b.finish()
+    }
+
+    /// A contiguous block of rows of the dense matrix, over a type table
+    /// of only those rows. Each cell depends only on its own pair of
+    /// datatypes, so the block is bit-identical to the same rows of
+    /// [`Matcher::compute`].
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
+        if ctx.restriction.is_some() {
+            // The engine only shards unrestricted computes; stay correct
+            // for any other caller by slicing the restricted result.
+            return self.compute(ctx).row_range(rows);
+        }
+        let types = TypeSims::new(ctx, rows.clone());
+        let mut out = SimMatrix::new(rows.len(), ctx.cols());
+        for r in 0..rows.len() {
+            for (j, dst) in out.row_mut(r).iter_mut().enumerate() {
+                // The clamp `SimMatrix::set` applies: the table's
+                // fallback and untyped values are caller-settable.
+                *dst = types.get(r, j).clamp(0.0, 1.0);
             }
         }
         out
+    }
+
+    fn cell_local(&self) -> bool {
+        true
+    }
+
+    fn row_shardable(&self) -> bool {
+        true
     }
 }
 

@@ -17,7 +17,6 @@ use crate::matchers::context::MatchContext;
 use crate::matchers::hybrid::TypeNameMatcher;
 use crate::matchers::Matcher;
 use coma_graph::{PathId, PathSet};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Shared configuration of the two structural matchers.
@@ -82,11 +81,11 @@ impl StructuralConfig {
             return 0.0;
         }
         // The paper-default configuration (`Both`/`Max1`) is the per-cell
-        // inner loop of every structural similarity: take the
-        // allocation-free path that folds candidate sums directly instead
-        // of materializing a sub-matrix plus per-element candidate lists.
-        // Value-identical to the generic path (unit-tested below): the
-        // same strict-greater/first-index-wins best candidate per row and
+        // inner loop of every structural similarity: take the shared
+        // kernel, which reads each cell once and folds the best values
+        // directly instead of materializing a sub-matrix plus
+        // per-element candidate lists. Value-identical to the generic
+        // path (unit-tested below): the same best value per row and
         // column, the same clamping, the same summation order.
         if self.direction == Direction::Both && self.selection == Selection::max_n(1) {
             return self.set_similarity_max1(set1, set2, lookup);
@@ -102,8 +101,8 @@ impl StructuralConfig {
     }
 
     /// The `Both`/`Max1` fast path of [`StructuralConfig::set_similarity_by`]:
-    /// the shared allocation-free pipeline over a clamped lookup (the
-    /// clamp mirrors the `SimMatrix::set` the materialized path performs).
+    /// the shared kernel over a clamped lookup (the clamp mirrors the
+    /// `SimMatrix::set` the materialized path performs).
     fn set_similarity_max1(
         &self,
         set1: &[PathId],
@@ -191,11 +190,22 @@ impl ChildrenMatcher {
     }
 
     /// The sparse path: only the allowed inner × inner cells plus the
-    /// child pairs they transitively depend on, processed bottom-up into a
-    /// sparse overlay over the leaf table — no dense `m × n` buffer is
-    /// cloned or written. The output holds exactly the allowed cells
-    /// (computed inner values, leaf values elsewhere), which is what the
-    /// dense path's engine-masked result keeps too.
+    /// child pairs they transitively depend on, processed bottom-up — no
+    /// dense `m × n` buffer is cloned or written. The output holds
+    /// exactly the allowed cells (computed inner values, leaf values
+    /// elsewhere), which is what the dense path's engine-masked result
+    /// keeps too.
+    ///
+    /// No cell read probes a hash. Leaf and mixed pairs read the shared
+    /// leaf table. Inner pairs have slots: every path has one parent, so
+    /// an inner child pair `(c1, c2)` is needed by exactly one pair,
+    /// `(parent(c1), parent(c2))`. The closure is built breadth-first
+    /// into `order`, a pair's slot is its position there, and the inner
+    /// child pairs of slot `k` fill one block from `first_child[k]`,
+    /// row-major over the two inner-child lists — so a pair reads child
+    /// pair `(c1, c2)` at `first_child[k] + rank(c1) * inner(q) +
+    /// rank(c2)`, where `rank` is a path's position among its parent's
+    /// inner children.
     fn compute_sparse(
         &self,
         ctx: &MatchContext<'_>,
@@ -205,11 +215,30 @@ impl ChildrenMatcher {
         let cols = ctx.cols();
         let sp = ctx.source_paths;
         let tp = ctx.target_paths;
+        let src_rank = inner_ranks(sp);
+        let tgt_rank = inner_ranks(tp);
+        // A target path's inner-child count: one past its last inner
+        // child's rank (0 when it has none).
+        let tgt_inner = |q: PathId| -> usize {
+            tp.children(q)
+                .iter()
+                .rev()
+                .find(|&&c| !tp.is_leaf(c))
+                .map_or(0, |&c| tgt_rank[c.index()] as usize + 1)
+        };
 
-        // Transitive dependency closure: an allowed inner pair (p, q)
-        // needs every inner child pair in children(p) × children(q).
-        let mut needed: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<(PathId, PathId)> = Vec::new();
+        // The closure's roots: the allowed inner pairs no allowed ancestor
+        // pair (the same number of steps up on both sides) already needs.
+        let needed_by_ancestor = |mut p: PathId, mut q: PathId| -> bool {
+            while let (Some(a), Some(b)) = (sp.parent(p), tp.parent(q)) {
+                if mask.allows(a.index(), b.index()) {
+                    return true;
+                }
+                (p, q) = (a, b);
+            }
+            false
+        };
+        let mut order: Vec<(PathId, PathId)> = Vec::new();
         for i in 0..ctx.rows() {
             let p = ctx.source_elem(i);
             if sp.is_leaf(p) {
@@ -217,56 +246,65 @@ impl ChildrenMatcher {
             }
             for j in mask.allowed_in_row(i) {
                 let q = ctx.target_elem(j);
-                if !tp.is_leaf(q) && needed.insert(i * cols + j) {
-                    stack.push((p, q));
+                if !tp.is_leaf(q) && !needed_by_ancestor(p, q) {
+                    order.push((p, q));
                 }
             }
         }
-        let mut order: Vec<(PathId, PathId)> = Vec::new();
-        while let Some((p, q)) = stack.pop() {
-            order.push((p, q));
-            for &c1 in sp.children(p) {
-                if sp.is_leaf(c1) {
-                    continue;
-                }
-                for &c2 in tp.children(q) {
-                    let cell = c1.index() * cols + c2.index();
-                    if !tp.is_leaf(c2) && needed.insert(cell) {
-                        stack.push((c1, c2));
-                    }
+        // Breadth-first: each pair appends its block of inner child pairs.
+        let mut first_child: Vec<usize> = Vec::with_capacity(order.len());
+        let mut k = 0;
+        while k < order.len() {
+            let (p, q) = order[k];
+            first_child.push(order.len());
+            for &c1 in sp.children(p).iter().filter(|&&c| !sp.is_leaf(c)) {
+                for &c2 in tp.children(q).iter().filter(|&&c| !tp.is_leaf(c)) {
+                    order.push((c1, c2));
                 }
             }
+            k += 1;
         }
 
-        // Bottom-up: a pair's dependencies have strictly smaller source
-        // subtree height, so ordering by it computes children first. The
-        // computed inner values land in the overlay; reads fall back to
-        // the (shared, read-only) leaf table.
-        let height = subtree_heights(sp);
-        order.sort_by_key(|&(p, _)| height[p.index()]);
-        let mut overlay: HashMap<usize, f64> = HashMap::with_capacity(order.len());
-        for (p, q) in order {
+        // Bottom-up: a pair's block lies after it in `order`, so a
+        // reverse sweep computes every child pair before its parent pair.
+        let mut values = vec![0.0; order.len()];
+        for (k, &(p, q)) in order.iter().enumerate().rev() {
+            let (base, width) = (first_child[k], tgt_inner(q));
             let sim = self.config.set_similarity_by(
                 sp.children(p),
                 tp.children(q),
                 |a: PathId, b: PathId| {
-                    overlay
-                        .get(&(a.index() * cols + b.index()))
-                        .copied()
-                        .unwrap_or_else(|| leaf_sims.get(a.index(), b.index()))
+                    if sp.is_leaf(a) || tp.is_leaf(b) {
+                        leaf_sims.get(a.index(), b.index())
+                    } else {
+                        let (r1, r2) = (src_rank[a.index()], tgt_rank[b.index()]);
+                        values[base + r1 as usize * width + r2 as usize]
+                    }
                 },
             );
-            overlay.insert(p.index() * cols + q.index(), sim.clamp(0.0, 1.0));
+            values[k] = sim.clamp(0.0, 1.0);
         }
 
-        // Materialize the allowed cells straight into CSR storage.
+        // Materialize the allowed cells straight into CSR storage. The
+        // allowed inner pairs' slots, sorted by cell, come up in the same
+        // row-major order as the mask walk meets those cells.
+        let mut allowed_slots: Vec<(usize, usize)> = order
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(p, q))| mask.allows(p.index(), q.index()))
+            .map(|(k, &(p, q))| (p.index() * cols + q.index(), k))
+            .collect();
+        allowed_slots.sort_unstable();
+        let mut slots = allowed_slots.into_iter().map(|(_, k)| k);
         let mut b = SparseBuilder::new(ctx.rows(), cols);
         for i in 0..ctx.rows() {
+            let inner_row = !sp.is_leaf(ctx.source_elem(i));
             for j in mask.allowed_in_row(i) {
-                let v = overlay
-                    .get(&(i * cols + j))
-                    .copied()
-                    .unwrap_or_else(|| leaf_sims.get(i, j));
+                let v = if inner_row && !tp.is_leaf(ctx.target_elem(j)) {
+                    values[slots.next().expect("every allowed inner pair has a slot")]
+                } else {
+                    leaf_sims.get(i, j)
+                };
                 b.push(i, j, v);
             }
         }
@@ -431,6 +469,19 @@ fn subtree_heights(ps: &PathSet) -> Vec<usize> {
         height[p.index()] = h;
     }
     height
+}
+
+/// Each path's position among the inner (non-leaf) children of its
+/// parent (0 for leaves and the root).
+fn inner_ranks(ps: &PathSet) -> Vec<u32> {
+    let mut rank = vec![0; ps.len()];
+    for p in ps.iter() {
+        let inner = ps.children(p).iter().filter(|&&c| !ps.is_leaf(c));
+        for (r, &c) in (0u32..).zip(inner) {
+            rank[c.index()] = r;
+        }
+    }
+    rank
 }
 
 /// All paths of one side ordered by increasing subtree height (leaves
@@ -607,7 +658,7 @@ mod tests {
         assert!(bad < sim, "{bad} vs {sim}");
     }
 
-    /// The allocation-free `Both`/`Max1` fast path of `set_similarity`
+    /// The `Both`/`Max1` fast path of `set_similarity`
     /// computes exactly what the generic sub-matrix + select + combine
     /// pipeline computes, for Average and Dice alike.
     #[test]

@@ -24,9 +24,9 @@ const POOL: [&str; 8] = [
     "Name", "NamePath", "TypeName", "Children", "Leaves", "Trigram", "DataType", "Synonym",
 ];
 
-/// The row-shardable hybrids — the matchers the streaming-fused pruning
+/// The row-shardable matchers — the ones the streaming-fused pruning
 /// path can execute shard by shard.
-const SHARDABLE: [&str; 4] = ["Name", "NamePath", "TypeName", "Leaves"];
+const SHARDABLE: [&str; 5] = ["Name", "NamePath", "TypeName", "Leaves", "DataType"];
 
 struct Fixture {
     coma: Coma,
@@ -434,7 +434,7 @@ proptest! {
     /// never materializing the inner Matchers stage.
     #[test]
     fn fused_pruning_matches_unfused(
-        mask in 1usize..16,
+        mask in 1usize..32,
         k in 1usize..5,
         per in 0usize..3,
         shard_sel in 0usize..4,

@@ -1,8 +1,8 @@
 //! `perf_smoke` — the CI performance gate.
 //!
 //! Runs a quick, deterministic benchmark suite over the evaluation corpus,
-//! the generated large-schema workloads and the `coma-server` service
-//! loop, emits a `BENCH_PR10.json` trajectory file (task, wall-ms,
+//! the generated large-schema workloads, the repository's file-backed
+//! persist (`repo/persist`) and the `coma-server` service loop, emits a `BENCH_PR10.json` trajectory file (task, wall-ms,
 //! candidates, dense/sparse speedups, peak allocations, fused peak
 //! ceilings, service throughput, static-analysis prediction bounds) and
 //! optionally compares it against a committed baseline:
@@ -101,9 +101,10 @@ use coma_core::{
     shard_ranges, Coma, ComposeCombine, EngineConfig, MatchContext, MatchPlan, MatchResult,
     MatchStrategy, PlanAnalyzer, PlanEngine, PlanOutcome, TaskStats,
 };
-use coma_eval::{fresh_task_mappings, reuse_repository, Corpus, MatchQuality, TASKS};
+use coma_eval::corpus::xsd_source;
+use coma_eval::{fresh_task_mappings, reuse_repository, Corpus, MatchQuality, SCHEMA_NAMES, TASKS};
 use coma_graph::PathSet;
-use coma_repo::{MappingKind, MemoryBackend, Repository};
+use coma_repo::{FileBackend, Mapping, MappingKind, MemoryBackend, Repository, RepositoryBackend};
 use coma_server::{
     Client, InlineSchema, MatchConfig, MatchRequest, PlanSpec, Request, Response, SchemaFormat,
     SchemaRef, Server, ServerState,
@@ -315,6 +316,59 @@ fn parse_args() -> Result<Options, ExitCode> {
         }
     }
     Ok(opts)
+}
+
+/// Persists per `--runs` in the `repo/persist` measurement: one persist
+/// takes milliseconds, so its best-of-N needs more samples than a plan.
+const PERSIST_RUNS: usize = 10;
+
+/// Slots of renamed corpus copies in the `repo/persist` store: enough to
+/// bring the snapshot to the `serve_write` benchmark's steady-state
+/// ~0.7 MB (whose store also holds generated DDL schemas; the extra
+/// copies stand in for them).
+const PERSIST_COPY_SLOTS: usize = 14;
+
+/// The `repo/persist` store: the corpus schemas and their gold mappings
+/// (the `serve_write` base repository), plus, per slot, renamed copies
+/// `s{slot}x/y/z` of three corpus schemas and stored mappings `x→y`,
+/// `y→z` carrying the renamed gold correspondences with deterministic
+/// full-precision similarities.
+fn persist_repository(corpus: &Corpus) -> Result<Repository, String> {
+    let mut repo = Repository::new();
+    for i in 0..SCHEMA_NAMES.len() {
+        repo.put_schema(corpus.schema(i).clone());
+    }
+    for &(i, j) in &TASKS {
+        repo.put_mapping(corpus.gold_mapping(i, j));
+    }
+    let triples: Vec<[usize; 3]> = (0..5)
+        .flat_map(|a| (a + 1..5).flat_map(move |b| (b + 1..5).map(move |c| [a, b, c])))
+        .collect();
+    let mut k = 0u32;
+    for (slot, picked) in triples.iter().cycle().take(PERSIST_COPY_SLOTS).enumerate() {
+        let names: Vec<String> = ["x", "y", "z"]
+            .iter()
+            .map(|tag| format!("s{slot}{tag}"))
+            .collect();
+        for (name, &i) in names.iter().zip(picked) {
+            let copy = coma_xml::import_xsd(xsd_source(i), name).map_err(|e| e.to_string())?;
+            repo.put_schema(copy);
+        }
+        for (a, b) in [(0, 1), (1, 2)] {
+            let (i, j) = (picked[a], picked[b]);
+            let rename = |path: &str, from: usize, to: &str| {
+                format!("{to}{}", &path[SCHEMA_NAMES[from].len()..])
+            };
+            let mut mapping = Mapping::new(&names[a], &names[b], MappingKind::Automatic);
+            for (s, t) in corpus.gold_names(i, j) {
+                k += 1;
+                let sim = 0.5 + 0.5 * (f64::from(k) * 0.618_033_988_749_895).fract();
+                mapping.push(rename(&s, i, &names[a]), rename(&t, j, &names[b]), sim);
+            }
+            repo.put_mapping(mapping);
+        }
+    }
+    Ok(repo)
 }
 
 /// Best-of-N wall time of `f`, returning (ms, last result). The previous
@@ -1368,6 +1422,35 @@ fn measure(opts: &Options) -> Result<BenchReport, String> {
             ceiling_bytes: FUSED_PEAK_CEILING,
         });
     }
+
+    // --- repository persistence -------------------------------------------
+    // One write-through persist of a store the size of the `serve_write`
+    // benchmark's steady state: serialize, write, fsync, rename. Cheap,
+    // so it runs in quick mode too. The snapshot's byte length takes the
+    // `candidates` slot: it depends only on the repository and the format.
+    let store = persist_repository(&corpus)?;
+    let dir = std::env::temp_dir().join(format!("coma_perf_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("repo/persist: {e}"))?;
+    let backend = FileBackend::new(dir.join("repository.json"));
+    let (ms, persisted) = time_best(PERSIST_RUNS * runs, || backend.persist(&store));
+    let (peak, _) = alloc_track::measure_peak(|| backend.persist(&store));
+    let bytes = std::fs::metadata(backend.path()).map(|m| m.len());
+    std::fs::remove_dir_all(&dir).ok();
+    persisted.map_err(|e| format!("repo/persist: {e}"))?;
+    let bytes = bytes.map_err(|e| format!("repo/persist: {e}"))?;
+    eprintln!(
+        "# repo/persist: {ms:.2} ms, peak {:.2} MiB, {bytes} bytes",
+        peak as f64 / (1 << 20) as f64
+    );
+    tasks.push(TaskEntry {
+        task: "repo/persist".into(),
+        wall_ms: ms,
+        candidates: bytes,
+    });
+    allocs.push(AllocEntry {
+        task: "repo/persist".into(),
+        peak_bytes: peak as u64,
+    });
 
     // --- matching as a service --------------------------------------------
     // The `coma-server` service loop measured end to end: concurrent

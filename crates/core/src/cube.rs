@@ -43,7 +43,7 @@
 //! assert_eq!(dense.to_sparse(), m);
 //! ```
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 /// The physical representation a [`SimMatrix`] currently uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -767,22 +767,19 @@ impl PartialEq for SimMatrix {
 /// deserialization accepts either, so repositories written before the
 /// sparse storage existed keep loading.
 impl Serialize for SimMatrix {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            (Value::Str("m".into()), self.m.to_value()),
-            (Value::Str("n".into()), self.n.to_value()),
-        ];
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.begin_map(true);
+        out.field("m", &self.m);
+        out.field("n", &self.n);
         match &self.storage {
-            SimStorage::Dense(values) => {
-                entries.push((Value::Str("values".into()), values.to_value()));
-            }
+            SimStorage::Dense(values) => out.field("values", values),
             SimStorage::Sparse(csr) => {
-                entries.push((Value::Str("row_offsets".into()), csr.offsets.to_value()));
-                entries.push((Value::Str("col_indices".into()), csr.cols.to_value()));
-                entries.push((Value::Str("sparse_values".into()), csr.vals.to_value()));
+                out.field("row_offsets", &csr.offsets);
+                out.field("col_indices", &csr.cols);
+                out.field("sparse_values", &csr.vals);
             }
         }
-        Value::Map(entries)
+        out.end_map();
     }
 }
 
@@ -1158,10 +1155,13 @@ mod tests {
     fn serialization_roundtrips_both_storages_and_legacy_format() {
         let dense = matrix(2, 2, |i, j| 0.1 + 0.2 * (i * 2 + j) as f64);
         let sparse = dense.to_sparse();
-        let d2 = SimMatrix::from_value(&dense.to_value()).unwrap();
+        let round_trip = |m: &SimMatrix| -> SimMatrix {
+            serde_json::from_str(&serde_json::to_string(m).unwrap()).unwrap()
+        };
+        let d2 = round_trip(&dense);
         assert_eq!(d2, dense);
         assert!(!d2.is_sparse());
-        let s2 = SimMatrix::from_value(&sparse.to_value()).unwrap();
+        let s2 = round_trip(&sparse);
         assert_eq!(s2, sparse);
         assert!(s2.is_sparse());
         // The dense wire shape is the pre-sparse-storage format: a map of
@@ -1171,14 +1171,8 @@ mod tests {
         let legacy: SimMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(legacy, dense);
         // Corrupt sparse storage is rejected.
-        let bad = Value::Map(vec![
-            (Value::Str("m".into()), 2usize.to_value()),
-            (Value::Str("n".into()), 2usize.to_value()),
-            (Value::Str("row_offsets".into()), vec![0usize, 1].to_value()),
-            (Value::Str("col_indices".into()), vec![5usize].to_value()),
-            (Value::Str("sparse_values".into()), vec![0.5].to_value()),
-        ]);
-        assert!(SimMatrix::from_value(&bad).is_err());
+        let bad = r#"{"m":2,"n":2,"row_offsets":[0,1],"col_indices":[5],"sparse_values":[0.5]}"#;
+        assert!(serde_json::from_str::<SimMatrix>(bad).is_err());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   The store for tests and for callers that want repository semantics
 //!   without touching the filesystem.
 //! * [`FileBackend`] — a single human-readable JSON file, written
-//!   atomically (temp file + rename in the same directory), so a crash
-//!   mid-write never corrupts the previous good snapshot and concurrent
-//!   readers of the file never observe a half-written state.
+//!   atomically (a temp file of each persist's own + rename in the same
+//!   directory), so a crash mid-write never corrupts the previous good
+//!   snapshot, concurrent persists never disturb each other, and
+//!   concurrent readers of the file never observe a half-written state.
 //!
 //! [`PersistentRepository`] wraps a backend plus an in-memory
 //! [`Repository`] behind an `RwLock`: reads are concurrent snapshots,
@@ -24,6 +25,7 @@
 use crate::{Repository, RepositoryError};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A repository persistence backend: loads and stores whole-repository
 /// snapshots.
@@ -90,7 +92,11 @@ impl RepositoryBackend for MemoryBackend {
 /// temporary file *in the same directory* and renames it over the store
 /// path — rename is atomic on POSIX filesystems, so the store file is
 /// always either the previous snapshot or the new one, never a torn
-/// write. A missing file loads as an empty repository (first run);
+/// write. Every persist gets a temp file of its own
+/// (`<store>.tmp.<pid>.<n>`, `n` counting the process's persists), so
+/// persists may run concurrently — two sessions flushing at once — and
+/// each rename still installs a complete snapshot; the last one wins.
+/// A missing file loads as an empty repository (first run);
 /// unparseable content surfaces [`RepositoryError::Format`].
 pub struct FileBackend {
     path: PathBuf,
@@ -108,13 +114,16 @@ impl FileBackend {
         &self.path
     }
 
+    /// A temp path no other persist of this process uses.
     fn temp_path(&self) -> PathBuf {
+        static PERSISTS: AtomicU64 = AtomicU64::new(0);
         let mut name = self
             .path
             .file_name()
             .map(|n| n.to_os_string())
             .unwrap_or_else(|| "repository.json".into());
-        name.push(format!(".tmp.{}", std::process::id()));
+        let n = PERSISTS.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".tmp.{}.{n}", std::process::id()));
         self.path.with_file_name(name)
     }
 }

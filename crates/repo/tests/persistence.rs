@@ -70,6 +70,21 @@ fn save_load_save_is_byte_identical() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The exact bytes of `populated()`, pretty (the store file) and compact:
+/// any change to the repository format or the JSON writer shows up here.
+#[test]
+fn persisted_bytes_match_the_golden_files() {
+    let path = temp_store("golden");
+    FileBackend::new(&path).persist(&populated()).unwrap();
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written, include_str!("golden/populated.pretty.json"));
+    assert_eq!(
+        serde_json::to_string(&populated()).unwrap(),
+        include_str!("golden/populated.compact.json")
+    );
+}
+
 #[test]
 fn reopened_repository_sees_everything_stored() {
     let path = temp_store("reopen");
@@ -118,6 +133,17 @@ fn corrupted_store_surfaces_format_error() {
 }
 
 #[test]
+fn deeply_nested_store_is_a_format_error() {
+    let path = temp_store("nested");
+    std::fs::write(&path, "[".repeat(64 * 1024)).unwrap();
+    match FileBackend::new(&path).load() {
+        Err(RepositoryError::Format(_)) => {}
+        other => panic!("a 64 KiB nested store must yield Format, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn persist_replaces_store_atomically_leaving_no_temp_files() {
     let path = temp_store("atomic");
     let backend = FileBackend::new(&path);
@@ -132,6 +158,52 @@ fn persist_replaces_store_atomically_leaving_no_temp_files() {
         .collect();
     assert!(leftovers.is_empty(), "persist must clean up temp files");
     assert!(backend.load().is_ok());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn concurrent_flushes_never_fail_or_expose_a_partial_store() {
+    let path = temp_store("concurrent_flush");
+    let handle = PersistentRepository::open(FileBackend::new(&path)).unwrap();
+    // Big enough (~150 kB) that two flushes overlap while writing.
+    let leaves: Vec<String> = (0..60).map(|i| format!("element{i}")).collect();
+    let leaves: Vec<&str> = leaves.iter().map(String::as_str).collect();
+    handle
+        .mutate(|r| {
+            for i in 0..12 {
+                r.put_schema(schema(&format!("S{i}"), &leaves));
+                r.put_mapping(mapping(&format!("S{i}"), "S0", MappingKind::Automatic, 0.5));
+            }
+        })
+        .unwrap();
+    let expected = std::fs::read(&path).unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let flushers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..60).try_for_each(|_| handle.flush())
+                })
+            })
+            .collect();
+        let reader = scope.spawn(|| {
+            let mut torn = 0;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                if std::fs::read(&path).unwrap() != expected {
+                    torn += 1;
+                }
+            }
+            torn
+        });
+        let flushed: Vec<_> = flushers.into_iter().map(|f| f.join().unwrap()).collect();
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(reader.join().unwrap(), 0, "a read saw a partial store");
+        for result in flushed {
+            result.expect("concurrent flushes must not fail");
+        }
+    });
     std::fs::remove_file(&path).ok();
 }
 

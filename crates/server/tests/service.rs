@@ -578,6 +578,40 @@ fn reuse_round_trip_composes_stored_mappings_and_falls_back() {
 }
 
 #[test]
+fn deeply_nested_frame_ends_only_its_own_session() {
+    use std::io::{Read, Write};
+    let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (socket, handle) = spawn_server(state, "nested");
+    let mut bystander = connect(&socket);
+    assert_eq!(bystander.call(&Request::Ping).unwrap(), Response::Pong);
+
+    // One well-framed 64 KiB payload of `[`: far deeper than any request,
+    // deep enough to overflow a session thread's stack if parsed without
+    // a bound.
+    let payload = vec![b'['; 64 * 1024];
+    let mut hostile = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    hostile
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    hostile.write_all(&payload).unwrap();
+    // The server drops that session like any malformed frame: EOF, no
+    // response.
+    let mut rest = Vec::new();
+    hostile.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "no response to a malformed frame");
+
+    // Everyone else is still served.
+    assert_eq!(bystander.call(&Request::Ping).unwrap(), Response::Pong);
+    assert_eq!(
+        connect(&socket).call(&Request::Ping).unwrap(),
+        Response::Pong
+    );
+
+    bystander.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn malformed_requests_get_error_responses_not_session_death() {
     let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
     let (socket, handle) = spawn_server(state, "errors");

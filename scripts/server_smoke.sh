@@ -4,7 +4,9 @@
 # schema upload + match + store through the coma-cli client, shut the
 # server down, start a *fresh* server process over the same store file,
 # and verify the schemas and the stored mapping survived the restart
-# (fetch + match by name, no re-upload). Any nonzero exit fails the job.
+# (fetch + match by name, no re-upload); then send one deeply nested
+# frame and check the server still answers. Any nonzero exit fails the
+# job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,8 +49,23 @@ SERVER_PID=$!
 "$CLI" --server "$SOCKET" match cidx excel --top-k 5 > "$WORK/second.tsv"
 diff "$WORK/first.tsv" "$WORK/second.tsv" \
     || { echo "FAIL: restarted server ranks the pair differently"; exit 1; }
+
+echo "== a hostile frame ends only its own session =="
+# One well-framed 64 KiB payload of nested `[`: the server must drop that
+# session like any malformed frame and keep serving everyone else.
+python3 - "$SOCKET" <<'PY'
+import socket, struct, sys
+
+payload = b"[" * (64 * 1024)
+with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+    s.connect(sys.argv[1])
+    s.sendall(struct.pack(">I", len(payload)) + payload)
+    if s.recv(1):
+        sys.exit("FAIL: the server answered a malformed frame")
+PY
+"$CLI" --server "$SOCKET" stats
 "$CLI" --server "$SOCKET" shutdown
 wait "$SERVER_PID"
 SERVER_PID=""
 
-echo "server smoke passed: persistence survives a restart"
+echo "server smoke passed: persistence survives a restart, a hostile frame does not crash"

@@ -2,10 +2,14 @@
 //!
 //! The real serde is unavailable in this build environment (no registry
 //! access), so this shim provides the small surface the workspace uses:
-//! `Serialize` / `Deserialize` traits with `#[derive(...)]` support, built
-//! around a simple self-describing [`Value`] tree instead of serde's
-//! visitor-based data model. The sibling `serde_json` shim renders that
-//! tree to and from JSON text.
+//! `Serialize` / `Deserialize` traits with `#[derive(...)]` support.
+//!
+//! Serialization streams: [`Serialize::serialize`] walks a value and
+//! feeds it, as a sequence of scalar and container events, into a
+//! [`Serializer`] — in practice one of the sibling `serde_json` shim's
+//! writers, which append JSON text straight into their output. No
+//! intermediate tree is built. Deserialization goes the other way through
+//! a parsed [`Value`] tree, which `serde_json` produces from JSON text.
 //!
 //! The derive macros (from the `serde_derive` shim) support the shapes the
 //! workspace actually uses: structs with named fields, tuple structs, and
@@ -18,20 +22,21 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
-/// A self-describing serialized value.
+/// A parsed, self-describing value: what [`Deserialize`] reads.
 ///
-/// Maps are represented as ordered key/value pair lists so that non-string
-/// keys (tuples, enums) round-trip; `serde_json` renders all-string-key
-/// maps as JSON objects and everything else as arrays of pairs.
+/// Maps are ordered key/value pair lists. A JSON object parses into a
+/// map with string keys; maps whose keys are not all strings are written
+/// as arrays of `[key, value]` pairs and parse back as sequences, which
+/// the map deserializers accept too.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// JSON `null`; serializes `Option::None`.
+    /// JSON `null`; deserializes `Option::None`.
     Null,
     /// A boolean.
     Bool(bool),
-    /// A signed integer.
+    /// An integer written with a minus sign.
     Int(i64),
-    /// An unsigned integer (used when the value exceeds `i64`).
+    /// An integer written without one.
     UInt(u64),
     /// A binary floating point number.
     Float(f64),
@@ -102,15 +107,157 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// A type that can be rendered into a [`Value`] tree.
+/// A type that can write itself into a [`Serializer`].
 pub trait Serialize {
-    /// Serializes `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Feeds `self` into `out` as a stream of events: one scalar, or one
+    /// container whose contents are themselves serialized in order.
+    fn serialize<S: Serializer>(&self, out: &mut S);
+}
+
+/// The receiving end of [`Serialize::serialize`]: an output format.
+///
+/// A value arrives as one scalar call, or as a container:
+///
+/// * a sequence is `begin_seq`, then `element` followed by the element's
+///   own events for each element, then `end_seq`;
+/// * a map is `begin_map`, then for each entry `key`, the key's events,
+///   `value`, the value's events, and finally `end_map`.
+///
+/// Implementations keep whatever state their format needs between events
+/// (nesting depth, whether a separator is due). The provided methods
+/// build the common containers out of these events.
+pub trait Serializer {
+    /// `Option::None` and unit structs.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// A signed integer.
+    fn i64(&mut self, v: i64);
+    /// An unsigned integer.
+    fn u64(&mut self, v: u64);
+    /// A floating point number (`f32` arrives widened).
+    fn f64(&mut self, v: f64);
+    /// A string; also unit enum variants, by name.
+    fn str(&mut self, v: &str);
+    /// Opens a sequence.
+    fn begin_seq(&mut self);
+    /// Announces the next element of the innermost open sequence.
+    fn element(&mut self);
+    /// Closes the innermost open sequence.
+    fn end_seq(&mut self);
+    /// Opens a map. `string_keys` is true when every key of the map
+    /// serializes as a string ([`Serializer::str`]), which the caller
+    /// works out before the first entry.
+    fn begin_map(&mut self, string_keys: bool);
+    /// Announces the next entry's key of the innermost open map.
+    fn key(&mut self);
+    /// Separates the current entry's key from its value.
+    fn value(&mut self);
+    /// Closes the innermost open map.
+    fn end_map(&mut self);
+
+    /// Writes the items in order as a sequence.
+    fn seq<I>(&mut self, items: I)
+    where
+        Self: Sized,
+        I: IntoIterator,
+        I::Item: Serialize,
+    {
+        self.begin_seq();
+        for item in items {
+            self.element();
+            item.serialize(self);
+        }
+        self.end_seq();
+    }
+
+    /// Writes the entries in order as a map. The entries are walked twice:
+    /// once to learn whether every key is a string, once to write them.
+    fn map<'a, K, V, I>(&mut self, entries: I)
+    where
+        Self: Sized,
+        K: Serialize + 'a,
+        V: Serialize + 'a,
+        I: IntoIterator<Item = (&'a K, &'a V)>,
+        I::IntoIter: Clone,
+    {
+        let entries = entries.into_iter();
+        self.begin_map(entries.clone().all(|(k, _)| is_string(k)));
+        for (k, v) in entries {
+            self.key();
+            k.serialize(self);
+            self.value();
+            v.serialize(self);
+        }
+        self.end_map();
+    }
+
+    /// Writes one string-keyed map entry: a struct field, or the
+    /// variant name and payload of a data-carrying enum variant.
+    fn field<T: Serialize + ?Sized>(&mut self, name: &str, value: &T)
+    where
+        Self: Sized,
+    {
+        self.key();
+        self.str(name);
+        self.value();
+        value.serialize(self);
+    }
+}
+
+/// Whether `key` serializes as a string: its first event is
+/// [`Serializer::str`].
+fn is_string<T: Serialize + ?Sized>(key: &T) -> bool {
+    let mut probe = FirstEvent(None);
+    key.serialize(&mut probe);
+    probe.0 == Some(true)
+}
+
+/// A serializer that only records whether the first event it receives
+/// is a string.
+struct FirstEvent(Option<bool>);
+
+impl FirstEvent {
+    fn saw(&mut self, string: bool) {
+        self.0.get_or_insert(string);
+    }
+}
+
+impl Serializer for FirstEvent {
+    fn null(&mut self) {
+        self.saw(false);
+    }
+    fn bool(&mut self, _: bool) {
+        self.saw(false);
+    }
+    fn i64(&mut self, _: i64) {
+        self.saw(false);
+    }
+    fn u64(&mut self, _: u64) {
+        self.saw(false);
+    }
+    fn f64(&mut self, _: f64) {
+        self.saw(false);
+    }
+    fn str(&mut self, _: &str) {
+        self.saw(true);
+    }
+    fn begin_seq(&mut self) {
+        self.saw(false);
+    }
+    fn element(&mut self) {}
+    fn end_seq(&mut self) {}
+    fn begin_map(&mut self, _: bool) {
+        self.saw(false);
+    }
+    fn key(&mut self) {}
+    fn value(&mut self) {}
+    fn end_map(&mut self) {}
 }
 
 /// A type that can be reconstructed from a [`Value`] tree.
 pub trait Deserialize: Sized {
-    /// Deserializes an instance from a value tree.
+    /// Deserializes an instance from a parsed value tree.
     fn from_value(value: &Value) -> Result<Self, DeError>;
 }
 
@@ -133,8 +280,8 @@ fn unexpected<T>(expected: &str, got: &Value) -> Result<T, DeError> {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.bool(*self);
     }
 }
 
@@ -150,8 +297,8 @@ impl Deserialize for bool {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize<S: Serializer>(&self, out: &mut S) {
+                out.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -171,8 +318,8 @@ macro_rules! impl_signed {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize<S: Serializer>(&self, out: &mut S) {
+                out.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
@@ -195,8 +342,8 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize<S: Serializer>(&self, out: &mut S) {
+                out.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
@@ -215,8 +362,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -230,8 +377,8 @@ impl Deserialize for char {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(self);
     }
 }
 
@@ -245,20 +392,20 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        (**self).serialize(out);
     }
 }
 
@@ -269,8 +416,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        (**self).serialize(out);
     }
 }
 
@@ -281,8 +428,8 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
 }
 
 impl<T: Serialize> Serialize for std::rc::Rc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        (**self).serialize(out);
     }
 }
 
@@ -293,10 +440,10 @@ impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
         match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
+            None => out.null(),
+            Some(v) => v.serialize(out),
         }
     }
 }
@@ -311,8 +458,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 
@@ -326,22 +473,27 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$n.to_value()),+])
+            fn serialize<S: Serializer>(&self, out: &mut S) {
+                out.begin_seq();
+                $(
+                    out.element();
+                    self.$n.serialize(out);
+                )+
+                out.end_seq();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -382,12 +534,8 @@ fn map_entries(value: &Value) -> Result<Vec<(&Value, &Value)>, DeError> {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_value(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.map(self);
     }
 }
 
@@ -401,12 +549,8 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_value(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.map(self);
     }
 }
 
@@ -420,8 +564,8 @@ impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
 }
 
 impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 
@@ -435,8 +579,8 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 }
 
 impl<T: Serialize> Serialize for HashSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 

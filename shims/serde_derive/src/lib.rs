@@ -32,94 +32,77 @@ enum Shape {
     },
 }
 
-/// Derives `serde::Serialize` (value-tree rendering).
+/// Derives `serde::Serialize`: a `serialize` method that streams the
+/// value into a `serde::Serializer`. Named structs become string-keyed
+/// maps, newtypes their inner value, other tuple structs sequences, unit
+/// structs `null`; unit variants become their name and data variants a
+/// one-entry map from the name to the payload (a sequence when the
+/// variant has more than one field).
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
-    let body = match &shape {
+    let (name, body) = match &shape {
         Shape::NamedStruct { name, fields } => {
-            let entries: Vec<String> = fields
+            let fields: Vec<String> = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(::serde::Value::Str(::std::string::String::from(\"{f}\")), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
+                .map(|f| format!("out.field(\"{f}\", &self.{f});"))
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                   fn to_value(&self) -> ::serde::Value {{\n\
-                     ::serde::Value::Map(::std::vec![{}])\n\
-                   }}\n\
-                 }}",
-                entries.join(", ")
+            (
+                name,
+                format!("out.begin_map(true); {} out.end_map();", fields.concat()),
             )
         }
-        Shape::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-               fn to_value(&self) -> ::serde::Value {{\n\
-                 ::serde::Serialize::to_value(&self.0)\n\
-               }}\n\
-             }}"
-        ),
+        Shape::TupleStruct { name, arity: 1 } => {
+            (name, "::serde::Serialize::serialize(&self.0, out);".into())
+        }
         Shape::TupleStruct { name, arity } => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                   fn to_value(&self) -> ::serde::Value {{\n\
-                     ::serde::Value::Seq(::std::vec![{}])\n\
-                   }}\n\
-                 }}",
-                items.join(", ")
-            )
+            let items: Vec<String> = (0..*arity).map(|i| format!("&self.{i}")).collect();
+            (name, serialize_seq(&items))
         }
-        Shape::UnitStruct { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-               fn to_value(&self) -> ::serde::Value {{ ::serde::Value::Null }}\n\
-             }}"
-        ),
+        Shape::UnitStruct { name } => (name, "out.null();".into()),
         Shape::Enum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|(v, arity)| match arity {
-                    0 => format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
-                    ),
+                    0 => format!("{name}::{v} => out.str(\"{v}\"),"),
                     1 => format!(
-                        "{name}::{v}(x0) => ::serde::Value::Map(::std::vec![\
-                           (::serde::Value::Str(::std::string::String::from(\"{v}\")), \
-                            ::serde::Serialize::to_value(x0))]),"
+                        "{name}::{v}(x0) => {{ \
+                           out.begin_map(true); out.field(\"{v}\", x0); out.end_map(); }}"
                     ),
                     n => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::to_value(x{i})"))
-                            .collect();
                         format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(::std::vec![\
-                               (::serde::Value::Str(::std::string::String::from(\"{v}\")), \
-                                ::serde::Value::Seq(::std::vec![{}]))]),",
+                            "{name}::{v}({}) => {{ \
+                               out.begin_map(true); out.key(); out.str(\"{v}\"); out.value(); \
+                               {} out.end_map(); }}",
                             binds.join(", "),
-                            items.join(", ")
+                            serialize_seq(&binds)
                         )
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                   fn to_value(&self) -> ::serde::Value {{\n\
-                     match self {{ {} }}\n\
-                   }}\n\
-                 }}",
-                arms.join("\n")
-            )
+            (name, format!("match self {{ {} }}", arms.join("\n")))
         }
     };
-    body.parse()
-        .expect("serde_derive generated invalid Serialize impl")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+           fn serialize<__S: ::serde::Serializer>(&self, out: &mut __S) {{\n\
+             {body}\n\
+           }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive generated invalid Serialize impl")
+}
+
+/// Statements serializing `items` (expressions of reference type) as one
+/// sequence.
+fn serialize_seq(items: &[String]) -> String {
+    let elements: Vec<String> = items
+        .iter()
+        .map(|item| format!("out.element(); ::serde::Serialize::serialize({item}, out);"))
+        .collect();
+    format!("out.begin_seq(); {} out.end_seq();", elements.concat())
 }
 
 /// Derives `serde::Deserialize` (value-tree reconstruction).

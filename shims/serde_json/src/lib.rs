@@ -1,12 +1,22 @@
-//! Offline stand-in for `serde_json`, rendering the serde shim's value
-//! tree to and from JSON text.
+//! Offline stand-in for `serde_json`: the serde shim's JSON format.
 //!
-//! Maps whose keys are all strings become JSON objects; maps with
-//! structured keys (tuples, enums) become arrays of `[key, value]` pairs,
-//! which the serde shim's map deserializers accept symmetrically.
+//! Writing streams: [`to_string`] and [`to_string_pretty`] hand a JSON
+//! writer to the value's `Serialize::serialize`, and the writer appends
+//! text straight into its output string as the events arrive. Maps whose
+//! keys are all strings become JSON objects; maps with other keys
+//! (tuples, numbers, data-carrying enums, `None`) become arrays of
+//! `[key, value]` pairs, which the serde shim's map deserializers accept
+//! symmetrically. Reading parses the text into the serde shim's `Value`
+//! tree and deserializes from that.
 
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt;
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`from_str`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input from
+/// exhausting the stack; the deepest type the workspace writes nests far
+/// less (the same default as serde_json).
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON serialization or deserialization error.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,16 +44,23 @@ impl From<DeError> for Error {
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(write(value, false))
 }
 
-/// Serializes a value to human-readable, indented JSON.
+/// Serializes a value to human-readable JSON, indented by two spaces.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    Ok(write(value, true))
+}
+
+fn write<T: Serialize>(value: &T, pretty: bool) -> String {
+    let mut writer = Writer {
+        out: String::new(),
+        pretty,
+        open: Vec::new(),
+    };
+    value.serialize(&mut writer);
+    debug_assert!(writer.open.is_empty(), "unbalanced serializer events");
+    writer.out
 }
 
 /// Deserializes a value from JSON text.
@@ -51,6 +68,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -66,120 +84,189 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 
 // --- writer --------------------------------------------------------------
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => write_float(out, *f),
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            write_items(
-                out,
-                items.iter(),
-                indent,
-                level,
-                ('[', ']'),
-                |out, item, lvl| write_value(out, item, indent, lvl),
-            );
+/// The JSON writer behind [`to_string`] (compact) and [`to_string_pretty`]
+/// (each array element and object entry on its own line, indented two
+/// spaces per level; a `[key, value]` pair entry opens and closes on the
+/// lines of the key and value it encloses).
+struct Writer {
+    out: String,
+    pretty: bool,
+    /// The containers opened and not yet closed, innermost last.
+    open: Vec<Open>,
+}
+
+/// One open array or object.
+#[derive(Clone, Copy)]
+struct Open {
+    /// A map written as an array of `[key, value]` pairs.
+    pairs: bool,
+    /// No element or entry written yet.
+    empty: bool,
+}
+
+/// Indentation, pushed in slices of this.
+const SPACES: &str = "                                                                ";
+
+impl Writer {
+    /// Starts the next element or entry of the innermost container: the
+    /// separating comma, then in pretty mode a new, indented line.
+    fn next_item(&mut self) {
+        let open = self.open.last_mut().expect("element outside a container");
+        if !open.empty {
+            self.out.push(',');
         }
-        Value::Map(entries) => {
-            if entries.iter().all(|(k, _)| matches!(k, Value::Str(_))) {
-                write_items(
-                    out,
-                    entries.iter(),
-                    indent,
-                    level,
-                    ('{', '}'),
-                    |out, (k, v), lvl| {
-                        write_value(out, k, indent, lvl);
-                        out.push(':');
-                        if indent.is_some() {
-                            out.push(' ');
-                        }
-                        write_value(out, v, indent, lvl);
-                    },
-                );
-            } else {
-                // Structured keys: render as an array of [key, value] pairs.
-                write_items(
-                    out,
-                    entries.iter(),
-                    indent,
-                    level,
-                    ('[', ']'),
-                    |out, (k, v), lvl| {
-                        out.push('[');
-                        write_value(out, k, indent, lvl);
-                        out.push(',');
-                        if indent.is_some() {
-                            out.push(' ');
-                        }
-                        write_value(out, v, indent, lvl);
-                        out.push(']');
-                    },
-                );
+        open.empty = false;
+        self.newline();
+    }
+
+    /// Closes the innermost container with `bracket`.
+    fn close(&mut self, bracket: char) {
+        let open = self.open.pop().expect("close without an open container");
+        if !open.empty {
+            self.newline();
+        }
+        self.out.push(bracket);
+    }
+
+    /// In pretty mode, a line break indented to the current depth.
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            let mut width = 2 * self.open.len();
+            while width > 0 {
+                let n = width.min(SPACES.len());
+                self.out.push_str(&SPACES[..n]);
+                width -= n;
             }
         }
     }
-}
 
-fn write_items<I: ExactSizeIterator>(
-    out: &mut String,
-    items: I,
-    indent: Option<usize>,
-    level: usize,
-    brackets: (char, char),
-    mut write_item: impl FnMut(&mut String, I::Item, usize),
-) {
-    out.push(brackets.0);
-    let len = items.len();
-    for (i, item) in items.enumerate() {
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (level + 1)));
+    /// Closes the `[key, value]` pair of the entry just written, if the
+    /// innermost map is written as pairs and has one; returns whether it
+    /// is written as pairs.
+    fn end_pair(&mut self) -> bool {
+        let open = *self.open.last().expect("map event outside a map");
+        if open.pairs && !open.empty {
+            self.out.push(']');
         }
-        write_item(out, item, level + 1);
-        if i + 1 < len {
-            out.push(',');
-        }
-    }
-    if len > 0 {
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * level));
-        }
-    }
-    out.push(brackets.1);
-}
-
-fn write_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        // `{:?}` prints the shortest representation that round-trips.
-        out.push_str(&format!("{f:?}"));
-    } else {
-        // JSON has no NaN/Infinity; mirror serde_json's `null`.
-        out.push_str("null");
+        open.pairs
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+impl Serializer for Writer {
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn i64(&mut self, v: i64) {
+        if v < 0 {
+            self.out.push('-');
+        }
+        self.u64(v.unsigned_abs());
+    }
+
+    fn u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
-            c => out.push(c),
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    }
+
+    fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            // `{:?}` prints the shortest representation that round-trips.
+            write!(self.out, "{v:?}").expect("writing to a String cannot fail");
+        } else {
+            // JSON has no NaN/Infinity; mirror serde_json's `null`.
+            self.out.push_str("null");
         }
     }
-    out.push('"');
+
+    fn str(&mut self, v: &str) {
+        self.out.push('"');
+        // Copy runs of bytes that need no escape in one go. Only ASCII
+        // bytes end a run, so every slice falls on character boundaries.
+        let mut run = 0;
+        for (i, &b) in v.as_bytes().iter().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            self.out.push_str(&v[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    self.out.push_str("\\u00");
+                    self.out.push(char::from(HEX[usize::from(b >> 4)]));
+                    self.out.push(char::from(HEX[usize::from(b & 0xf)]));
+                }
+            }
+        }
+        self.out.push_str(&v[run..]);
+        self.out.push('"');
+    }
+
+    fn begin_seq(&mut self) {
+        self.out.push('[');
+        self.open.push(Open {
+            pairs: false,
+            empty: true,
+        });
+    }
+
+    fn element(&mut self) {
+        self.next_item();
+    }
+
+    fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    fn begin_map(&mut self, string_keys: bool) {
+        self.out.push(if string_keys { '{' } else { '[' });
+        self.open.push(Open {
+            pairs: !string_keys,
+            empty: true,
+        });
+    }
+
+    fn key(&mut self) {
+        let pairs = self.end_pair();
+        self.next_item();
+        if pairs {
+            self.out.push('[');
+        }
+    }
+
+    fn value(&mut self) {
+        let pairs = self.open.last().is_some_and(|open| open.pairs);
+        self.out.push(if pairs { ',' } else { ':' });
+        if self.pretty {
+            self.out.push(' ');
+        }
+    }
+
+    fn end_map(&mut self) {
+        let pairs = self.end_pair();
+        self.close(if pairs { ']' } else { '}' });
+    }
 }
 
 // --- parser --------------------------------------------------------------
@@ -187,6 +274,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,8 +311,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Parser::parse_array),
+            Some(b'{') => self.nested(Parser::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -231,6 +320,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses an array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -452,6 +556,31 @@ mod tests {
         assert_eq!(json, "[1,null]");
         let back: Vec<Option<u32>> = from_str(&json).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// Accepts any JSON value, so the parser alone is under test.
+    struct Any;
+
+    impl Deserialize for Any {
+        fn from_value(_: &Value) -> Result<Any, DeError> {
+            Ok(Any)
+        }
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        assert!(from_str::<Any>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Any>(&format!("{{\"a\":{}}}", nested(MAX_DEPTH - 1))).is_ok());
+        let err = from_str::<Any>(&nested(MAX_DEPTH + 1)).err().unwrap();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert!(from_str::<Any>(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str::<Any>(&"[".repeat(1_000_000)).is_err());
+        assert!(from_str::<Any>(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Runs a quick, deterministic benchmark suite over the evaluation corpus,
 //! the generated large-schema workloads, the repository's file-backed
-//! persist (`repo/persist`) and the `coma-server` service loop, emits a `BENCH_PR10.json` trajectory file (task, wall-ms,
-//! candidates, dense/sparse speedups, peak allocations, fused peak
-//! ceilings, service throughput, static-analysis prediction bounds) and
-//! optionally compares it against a committed baseline:
+//! persist (`repo/persist`) and log append (`repo/append`) and the
+//! `coma-server` service loop, emits a `BENCH_PR10.json` trajectory file
+//! (task, wall-ms, candidates, dense/sparse speedups, peak allocations,
+//! fused peak ceilings, service throughput, static-analysis prediction
+//! bounds) and optionally compares it against a committed baseline:
 //!
 //! ```text
 //! perf_smoke [--quick] [--out FILE] [--check BASELINE]
@@ -104,7 +105,10 @@ use coma_core::{
 use coma_eval::corpus::xsd_source;
 use coma_eval::{fresh_task_mappings, reuse_repository, Corpus, MatchQuality, SCHEMA_NAMES, TASKS};
 use coma_graph::PathSet;
-use coma_repo::{FileBackend, Mapping, MappingKind, MemoryBackend, Repository, RepositoryBackend};
+use coma_repo::{
+    FileBackend, Mapping, MappingKind, MemoryBackend, PersistentRepository, Repository,
+    RepositoryBackend,
+};
 use coma_server::{
     Client, InlineSchema, MatchConfig, MatchRequest, PlanSpec, Request, Response, SchemaFormat,
     SchemaRef, Server, ServerState,
@@ -369,6 +373,46 @@ fn persist_repository(corpus: &Corpus) -> Result<Repository, String> {
         }
     }
     Ok(repo)
+}
+
+/// The `repo/append` measurement on `store`, persisted at `path`: the
+/// best-of-`runs` wall and the peak heap of one `mutate` that re-stores
+/// the store's largest mapping (a `serve_write`-sized one: a stored
+/// top-5 match of two corpus schemas is 4–7 kB of JSON), and the byte
+/// length of the log frame each such call appends. Every call re-stores
+/// the same key, so the frames are identical and the snapshot stays as
+/// persisted; a call before the window writes the log's header, which
+/// hashes the snapshot.
+fn measure_append(
+    store: &Repository,
+    path: &std::path::Path,
+    runs: usize,
+) -> Result<(f64, usize, u64), String> {
+    let mapping = store
+        .mappings()
+        .iter()
+        .max_by_key(|m| m.correspondences.len())
+        .ok_or("no mapping in the store")?;
+    let handle = PersistentRepository::open(FileBackend::new(path)).map_err(|e| e.to_string())?;
+    let put = || handle.mutate(|r| r.put_mapping(mapping.clone()));
+    put().map_err(|e| e.to_string())?;
+    let log = FileBackend::new(path).log_path().to_path_buf();
+    let log_len = || {
+        std::fs::metadata(&log)
+            .map(|m| m.len())
+            .map_err(|e| e.to_string())
+    };
+    let snapshot = std::fs::read(path).map_err(|e| e.to_string())?;
+    let before = log_len()?;
+    let (ms, stored) = time_best(runs, put);
+    stored.map_err(|e| e.to_string())?;
+    let frame = (log_len()? - before) / runs as u64;
+    let (peak, stored) = alloc_track::measure_peak(put);
+    stored.map_err(|e| e.to_string())?;
+    if std::fs::read(path).map_err(|e| e.to_string())? != snapshot {
+        return Err("a compaction ran inside the measured window".into());
+    }
+    Ok((ms, peak, frame))
 }
 
 /// Best-of-N wall time of `f`, returning (ms, last result). The previous
@@ -1424,10 +1468,13 @@ fn measure(opts: &Options) -> Result<BenchReport, String> {
     }
 
     // --- repository persistence -------------------------------------------
-    // One write-through persist of a store the size of the `serve_write`
-    // benchmark's steady state: serialize, write, fsync, rename. Cheap,
-    // so it runs in quick mode too. The snapshot's byte length takes the
-    // `candidates` slot: it depends only on the repository and the format.
+    // One full persist of a store the size of the `serve_write`
+    // benchmark's steady state: serialize, write, fsync, rename, fsync the
+    // directory (`repo/persist`). Then one write-through `mutate` into the
+    // same store: one synced log frame (`repo/append`). Cheap, so both run
+    // in quick mode too. The snapshot's and the frame's byte lengths take
+    // the `candidates` slots: they depend only on the repository and the
+    // format.
     let store = persist_repository(&corpus)?;
     let dir = std::env::temp_dir().join(format!("coma_perf_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("repo/persist: {e}"))?;
@@ -1435,6 +1482,7 @@ fn measure(opts: &Options) -> Result<BenchReport, String> {
     let (ms, persisted) = time_best(PERSIST_RUNS * runs, || backend.persist(&store));
     let (peak, _) = alloc_track::measure_peak(|| backend.persist(&store));
     let bytes = std::fs::metadata(backend.path()).map(|m| m.len());
+    let appended = measure_append(&store, backend.path(), PERSIST_RUNS * runs);
     std::fs::remove_dir_all(&dir).ok();
     persisted.map_err(|e| format!("repo/persist: {e}"))?;
     let bytes = bytes.map_err(|e| format!("repo/persist: {e}"))?;
@@ -1449,6 +1497,20 @@ fn measure(opts: &Options) -> Result<BenchReport, String> {
     });
     allocs.push(AllocEntry {
         task: "repo/persist".into(),
+        peak_bytes: peak as u64,
+    });
+    let (ms, peak, frame) = appended.map_err(|e| format!("repo/append: {e}"))?;
+    eprintln!(
+        "# repo/append: {ms:.3} ms, peak {:.3} MiB, {frame}-byte frame",
+        peak as f64 / (1 << 20) as f64
+    );
+    tasks.push(TaskEntry {
+        task: "repo/append".into(),
+        wall_ms: ms,
+        candidates: frame,
+    });
+    allocs.push(AllocEntry {
+        task: "repo/append".into(),
         peak_bytes: peak as u64,
     });
 

@@ -19,12 +19,13 @@
 //!
 //! Persistence is pluggable behind [`RepositoryBackend`] — the embedded
 //! stand-in for the paper's external DBMS (see DESIGN.md, substitution 3):
-//! [`MemoryBackend`] for in-process stores, [`FileBackend`] for a single
-//! human-readable JSON file written atomically (temp file + rename), and
+//! [`MemoryBackend`] for in-process stores, [`FileBackend`] for a
+//! human-readable JSON snapshot plus an append-only log of the
+//! [`Mutation`]s made since (a checkpoint and a log, as in a DBMS), and
 //! [`PersistentRepository`] as the thread-safe write-through handle the
 //! long-running `coma-server` serves requests from. The plain
-//! [`Repository::save`] / [`Repository::load`] convenience pair remains
-//! for one-shot use.
+//! [`Repository::save`] / [`Repository::load`] convenience pair reads and
+//! writes the same files for one-shot use.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,4 +38,6 @@ mod store;
 pub use backend::{FileBackend, MemoryBackend, PersistentRepository, RepositoryBackend};
 pub use cube::StoredCube;
 pub use mapping::{compose_oriented, Correspondence, Mapping, MappingKind};
-pub use store::{shared, PivotChain, PivotPath, Repository, RepositoryError, SharedRepository};
+pub use store::{
+    shared, Mutation, PivotChain, PivotPath, Repository, RepositoryError, SharedRepository,
+};

@@ -1,7 +1,7 @@
-use crate::{Mapping, StoredCube};
+use crate::{FileBackend, Mapping, RepositoryBackend, StoredCube};
 use coma_graph::Schema;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
@@ -65,15 +65,60 @@ pub struct PivotPath<'r> {
     pub hops: Vec<(&'r Mapping, bool)>,
 }
 
+/// One change made by a [`Repository`] mutator: the unit a
+/// [`RepositoryBackend`] logs, and what replaying that log applies again
+/// through the same mutator. There is one variant per mutator.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Mutation {
+    /// [`Repository::put_schema`].
+    PutSchema(Schema),
+    /// [`Repository::put_mapping`].
+    PutMapping(Mapping),
+    /// [`Repository::put_cube`].
+    PutCube(StoredCube),
+    /// [`Repository::remove_mappings_between`], with its two schema names.
+    RemoveMappingsBetween(String, String),
+}
+
 /// The COMA repository: schemas, mappings and similarity cubes.
 ///
 /// Deterministic iteration (BTreeMap / insertion-ordered vectors) keeps the
 /// reuse matchers reproducible.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Repository {
     schemas: BTreeMap<String, Schema>,
     mappings: Vec<Mapping>,
     cubes: Vec<StoredCube>,
+    /// The changes made since the journal was last taken, when it is on.
+    /// Only [`PersistentRepository`](crate::PersistentRepository) switches
+    /// it on; it is never serialized.
+    journal: Option<Vec<Mutation>>,
+}
+
+// Hand-written instead of derived so that the journal stays out of the
+// bytes; the output is what the derive wrote for the three stores.
+impl Serialize for Repository {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.begin_map(true);
+        out.field("schemas", &self.schemas);
+        out.field("mappings", &self.mappings);
+        out.field("cubes", &self.cubes);
+        out.end_map();
+    }
+}
+
+impl Deserialize for Repository {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| DeError::custom("expected map for struct `Repository`"))?;
+        Ok(Repository {
+            schemas: serde::field(entries, "schemas")?,
+            mappings: serde::field(entries, "mappings")?,
+            cubes: serde::field(entries, "cubes")?,
+            journal: None,
+        })
+    }
 }
 
 impl Repository {
@@ -86,6 +131,7 @@ impl Repository {
 
     /// Stores a schema under its own name, replacing any previous version.
     pub fn put_schema(&mut self, schema: Schema) {
+        self.record(|| Mutation::PutSchema(schema.clone()));
         self.schemas.insert(schema.name().to_string(), schema);
     }
 
@@ -113,6 +159,7 @@ impl Repository {
     /// chains). Manual and automatic results for the same pair coexist:
     /// confirming a match never discards the raw automatic one.
     pub fn put_mapping(&mut self, mapping: Mapping) {
+        self.record(|| Mutation::PutMapping(mapping.clone()));
         match self.mappings.iter_mut().find(|m| {
             m.source_schema == mapping.source_schema
                 && m.target_schema == mapping.target_schema
@@ -139,7 +186,11 @@ impl Repository {
     pub fn remove_mappings_between(&mut self, a: &str, b: &str) -> usize {
         let before = self.mappings.len();
         self.mappings.retain(|m| !m.relates(a, b));
-        before - self.mappings.len()
+        let removed = before - self.mappings.len();
+        if removed > 0 {
+            self.record(|| Mutation::RemoveMappingsBetween(a.to_string(), b.to_string()));
+        }
+        removed
     }
 
     /// The "search repository" step of the Schema reuse matcher (Figure 5):
@@ -344,6 +395,7 @@ impl Repository {
     /// duplicate.
     pub fn put_cube(&mut self, cube: StoredCube) {
         debug_assert!(cube.is_consistent());
+        self.record(|| Mutation::PutCube(cube.clone()));
         match self.cubes.iter_mut().find(|c| {
             c.source_schema == cube.source_schema
                 && c.target_schema == cube.target_schema
@@ -367,6 +419,39 @@ impl Repository {
         self.cubes.len()
     }
 
+    // --- journal ---------------------------------------------------------
+
+    /// Applies one logged change through its mutator.
+    pub(crate) fn apply(&mut self, change: Mutation) {
+        match change {
+            Mutation::PutSchema(schema) => self.put_schema(schema),
+            Mutation::PutMapping(mapping) => self.put_mapping(mapping),
+            Mutation::PutCube(cube) => self.put_cube(cube),
+            Mutation::RemoveMappingsBetween(a, b) => {
+                self.remove_mappings_between(&a, &b);
+            }
+        }
+    }
+
+    /// Switches the journal on: from now on every mutator records its
+    /// change for [`Repository::take_journal`].
+    pub(crate) fn start_journal(&mut self) {
+        self.journal = Some(Vec::new());
+    }
+
+    /// The changes recorded since the last call, oldest first; `None` when
+    /// the journal is off (for instance because a `mutate` closure
+    /// replaced the whole repository).
+    pub(crate) fn take_journal(&mut self) -> Option<Vec<Mutation>> {
+        self.journal.as_mut().map(std::mem::take)
+    }
+
+    fn record(&mut self, change: impl FnOnce() -> Mutation) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(change());
+        }
+    }
+
     // --- persistence -----------------------------------------------------
 
     /// Serializes the whole repository to pretty JSON.
@@ -379,15 +464,18 @@ impl Repository {
         Ok(serde_json::from_str(json)?)
     }
 
-    /// Saves the repository to a JSON file.
+    /// Saves the repository to a JSON file the way a [`FileBackend`]
+    /// compacts: atomically and durably, restarting any log next to it.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RepositoryError> {
-        std::fs::write(path, self.to_json()?)?;
-        Ok(())
+        FileBackend::new(path.as_ref()).persist(self)
     }
 
-    /// Loads a repository from a JSON file.
+    /// Loads a repository from a JSON file, replaying the changes a
+    /// [`FileBackend`] logged next to it. Unlike a backend's first run, a
+    /// missing file is an error.
     pub fn load(path: impl AsRef<Path>) -> Result<Repository, RepositoryError> {
-        Repository::from_json(&std::fs::read_to_string(path)?)
+        std::fs::metadata(path.as_ref())?;
+        FileBackend::new(path.as_ref()).load()
     }
 }
 

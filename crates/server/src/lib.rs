@@ -9,9 +9,10 @@
 //!   ([`protocol`]): offline-friendly, no network stack, framed so
 //!   message boundaries are explicit.
 //! * **Persistence** — the repository lives behind a
-//!   [`coma_repo::RepositoryBackend`] (single JSON file, atomic
-//!   temp-file + rename writes), loaded at startup: schemas stored by
-//!   one server process are served by the next.
+//!   [`coma_repo::RepositoryBackend`] (a JSON snapshot plus an
+//!   append-only, checksummed log: each write appends and fsyncs one
+//!   frame), loaded at startup: schemas stored by one server process are
+//!   served by the next.
 //! * **Concurrency** — one scoped thread per connection over one shared
 //!   [`ServerState`]; stored schemas are handed out as shared
 //!   `Arc<Schema>` allocations, and the engine row-shards big stages

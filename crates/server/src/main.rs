@@ -6,8 +6,9 @@
 //! ```
 //!
 //! With `--store`, schemas and stored match results persist to the given
-//! JSON file (written atomically) and are reloaded on the next start;
-//! without it the repository is in-memory and dies with the process.
+//! JSON snapshot plus an append-only log next to it (`FILE.log`) and are
+//! reloaded on the next start, after a crash too; without it the
+//! repository is in-memory and dies with the process.
 //! The server runs until a client sends `Shutdown` (e.g.
 //! `coma-cli --server <socket> --shutdown`).
 

@@ -4,9 +4,10 @@
 # schema upload + match + store through the coma-cli client, shut the
 # server down, start a *fresh* server process over the same store file,
 # and verify the schemas and the stored mapping survived the restart
-# (fetch + match by name, no re-upload); then send one deeply nested
-# frame and check the server still answers. Any nonzero exit fails the
-# job.
+# (fetch + match by name, no re-upload); then store one more schema,
+# which stays in the store's log, kill the server with SIGKILL and
+# verify a third server replays it; then send one deeply nested frame
+# and check the server still answers. Any nonzero exit fails the job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,6 +51,22 @@ SERVER_PID=$!
 diff "$WORK/first.tsv" "$WORK/second.tsv" \
     || { echo "FAIL: restarted server ranks the pair differently"; exit 1; }
 
+echo "== generation 3: restart after kill -9, replaying the log =="
+# A small schema is appended to the log, not compacted into the
+# snapshot; a server killed without a shutdown never flushes.
+"$CLI" --server "$SOCKET" put crates/eval/assets/noris.xsd --name noris
+[ -s "$STORE.log" ] || { echo "FAIL: the put left $STORE.log missing or empty"; exit 1; }
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+"$SERVER" --socket "$SOCKET" --store "$STORE" &
+SERVER_PID=$!
+
+"$CLI" --server "$SOCKET" list | grep -qx noris || { echo "FAIL: noris not replayed from the log"; exit 1; }
+"$CLI" --server "$SOCKET" match cidx excel --top-k 5 > "$WORK/third.tsv"
+diff "$WORK/first.tsv" "$WORK/third.tsv" \
+    || { echo "FAIL: the server after kill -9 ranks the pair differently"; exit 1; }
+
 echo "== a hostile frame ends only its own session =="
 # One well-framed 64 KiB payload of nested `[`: the server must drop that
 # session like any malformed frame and keep serving everyone else.
@@ -68,4 +85,4 @@ PY
 wait "$SERVER_PID"
 SERVER_PID=""
 
-echo "server smoke passed: persistence survives a restart, a hostile frame does not crash"
+echo "server smoke passed: persistence survives a restart and a kill -9, a hostile frame does not crash"

@@ -54,7 +54,8 @@
 //!
 //! `--reuse` skips fresh matching entirely and answers from previous
 //! match results: `--repository FILE` loads a repository JSON (the format
-//! `coma-server` persists and `--json` emits), and the engine's `Reuse`
+//! `coma-server` persists and `--json` emits), replaying the writes a
+//! server's store still holds in `FILE.log`, and the engine's `Reuse`
 //! leaf walks its stored-mapping graph for pivot chains
 //! `source → P1 → … → Pk → target` of up to `--max-hops` mappings
 //! (default 3), MatchComposes each chain, and merges the paths into one

@@ -152,8 +152,9 @@ struct AllocEntry {
 /// A peak-allocation *ceiling*: the measured peak of a streaming-fused
 /// execution plus the hard bound it must stay under. Unlike the dense
 /// peaks in [`AllocEntry`], these absolute numbers are machine-comparable
-/// across runs: the fused engine caps its in-flight memory by a byte
-/// budget (`EngineConfig::fuse_budget_bytes`), not by the core count.
+/// across runs: the fused engine caps its in-flight memory by a fixed
+/// byte budget (1 GiB, in the engine's rules module), not by the core
+/// count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CeilingEntry {
     task: String,

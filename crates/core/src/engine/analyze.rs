@@ -5,24 +5,22 @@
 //! The [`PlanAnalyzer`] walks the operator tree against an
 //! [`EngineConfig`] and per-task [`TaskStats`] (side sizes, leaf counts,
 //! vocabulary statistics, repository pivot availability, pinned
-//! feedback), mirroring the engine's own decision rules:
+//! feedback). It decides storage, fusion and shard counts by calling the
+//! engine's own rules (`engine/rules.rs`) on static bounds where the
+//! engine calls them on runtime values:
 //!
-//! * **storage** — `sparse && density <= sparse_density_cutoff`, applied
-//!   to the density *bounds* the selection/pruning operators imply
-//!   (`TopK(k, Row)` keeps at most `k·m` pairs, a capped
-//!   `CandidateIndex` at most `cap·(m+n)`, …);
-//! * **fusion** — the exact preconditions of the engine's `try_fuse`
-//!   (pruning `Filter`/`TopK` over an unrestricted, row-shardable
-//!   `Matchers` leaf whose own selection prunes, sparse path on, no
-//!   feedback pinned);
-//! * **shards** — `EngineConfig::shards` / `min_shard_rows` /
-//!   `available_parallelism`, as the engine sizes them;
+//! * **storage** — the density rule over the density *bounds* the
+//!   selection/pruning operators imply (`TopK(k, Row)` keeps at most
+//!   `k·m` pairs, a capped `CandidateIndex` at most `cap·(m+n)`, …),
+//!   definite where it agrees at both ends of the bound;
+//! * **fusion** — the fusion rule, with the node's restriction state;
+//! * **shards** — the shard rules, as an upper bound of what executes;
 //! * **peak allocation** — the 8·m·n dense model per materialized
 //!   matrix, a CSR estimate under masks, the structural matchers'
 //!   shared full-pair leaf table plus leaves-under expansions (built
 //!   regardless of mask — `structural_scratch` below), and the fused
-//!   pipeline's `threads × shard slice` in-flight model capped by
-//!   `fuse_budget_bytes`.
+//!   pipeline's `threads × shard slice` in-flight model under the fused
+//!   budget.
 //!
 //! # The facts lattice
 //!
@@ -66,6 +64,7 @@ use super::cache::EngineCache;
 use super::index::VocabIndex;
 use super::memo::matcher_identity;
 use super::plan::{MatchPlan, TopKPer};
+use super::rules::{self, Unfusable};
 use super::EngineConfig;
 use crate::combine::{Direction, Selection};
 use crate::matchers::context::MatchContext;
@@ -157,6 +156,16 @@ impl Tri {
             Tri::Yes
         } else {
             Tri::No
+        }
+    }
+
+    /// A rule monotone in its input, evaluated at both ends of a bound:
+    /// definite where the ends agree.
+    fn between(lo: bool, hi: bool) -> Tri {
+        if lo == hi {
+            Tri::from_bool(hi)
+        } else {
+            Tri::Maybe
         }
     }
 }
@@ -321,8 +330,9 @@ pub struct NodeFacts {
     pub storage_sparse: Tri,
     /// Will the stage execute on the streaming-fused path?
     pub fused: Tri,
-    /// Predicted shard count on a fresh compute (informational: memo and
-    /// cache hits report 1, and worker budgets depend on the machine).
+    /// Upper bound on the stage's executed shard count
+    /// ([`StageOutcome::shards`](super::StageOutcome)); automatic sizing
+    /// depends on the machine's parallelism.
     pub shards_estimate: usize,
     /// Upper bound on the bytes this node's execution may allocate.
     pub peak_bytes: u64,
@@ -330,6 +340,26 @@ pub struct NodeFacts {
     /// (matcher matrices, or the vocabulary indexes of a
     /// `CandidateIndex`) already present for this schema pair.
     pub warmth: Option<(usize, usize)>,
+}
+
+impl NodeFacts {
+    /// The facts of a materialized, unfused, single-shard node with no
+    /// cache warmth; callers override what differs.
+    fn new(path: String, plan: &MatchPlan, out: u64, cells: u64, storage: Tri, peak: u64) -> Self {
+        NodeFacts {
+            path,
+            label: plan.label(),
+            kind: plan.kind_name(),
+            materialized: Tri::Yes,
+            out_pairs_hi: out,
+            density_hi: density(out, cells),
+            storage_sparse: storage,
+            fused: Tri::No,
+            shards_estimate: 1,
+            peak_bytes: peak,
+            warmth: None,
+        }
+    }
 }
 
 /// The result of one [`PlanAnalyzer::analyze`] pass: per-node facts,
@@ -534,9 +564,6 @@ struct MatcherCaps {
 }
 
 impl MatcherCaps {
-    fn row_shardable(&self) -> bool {
-        self.resolved.as_ref().is_some_and(|m| m.row_shardable())
-    }
     fn cell_local(&self) -> bool {
         self.resolved.as_ref().is_some_and(|m| m.cell_local())
     }
@@ -621,14 +648,7 @@ impl<'a> PlanAnalyzer<'a> {
             masked: Tri::No,
             pairs_hi: cells,
         };
-        self.node(
-            plan,
-            plan.kind_name().to_string(),
-            root,
-            false,
-            stats,
-            &mut walk,
-        );
+        self.node(plan, plan.kind_name().to_string(), root, stats, &mut walk);
         if let Some((cache, sfp, tfp)) = walk.cache {
             let warmth = cache.scope_warmth(sfp, tfp);
             let (warm, total) = walk
@@ -692,7 +712,6 @@ impl<'a> PlanAnalyzer<'a> {
         plan: &MatchPlan,
         path: String,
         mask: MaskState,
-        under_iterate: bool,
         stats: &TaskStats,
         walk: &mut Walk<'_>,
     ) -> u64 {
@@ -728,7 +747,7 @@ impl<'a> PlanAnalyzer<'a> {
                     cells.saturating_mul(DENSE_CELL.saturating_mul(caps.len() as u64 + 1));
                 if storage != Tri::Yes
                     && mask.masked != Tri::Yes
-                    && dense_slices > self.cfg.fuse_budget_bytes as u64
+                    && dense_slices > rules::FUSE_BUDGET_BYTES
                 {
                     walk.warns.push(PlanDiagnostic {
                         severity: Severity::Warn,
@@ -736,27 +755,20 @@ impl<'a> PlanAnalyzer<'a> {
                         node_path: path.clone(),
                         message: format!(
                             "unrestricted dense stage materializes ~{} ({} matcher slice(s) + \
-                             aggregate at {m}x{n}), over fuse_budget_bytes = {}; prune with \
-                             `TopK`/threshold `Filter` directly over this leaf to engage \
+                             aggregate at {m}x{n}), over the {} fused in-flight budget; prune \
+                             with `TopK`/threshold `Filter` directly over this leaf to engage \
                              streaming fusion",
                             human_bytes(dense_slices),
                             caps.len(),
-                            human_bytes(self.cfg.fuse_budget_bytes as u64),
+                            human_bytes(rules::FUSE_BUDGET_BYTES),
                         ),
                     });
                 }
+                let peak = self.leaf_peak(&caps, stats, cells, mask, storage, out);
                 let facts = NodeFacts {
-                    path: path.clone(),
-                    label: plan.label(),
-                    kind: "Matchers",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: self.leaf_shards(mask, stats),
-                    peak_bytes: self.leaf_peak(&caps, stats, cells, mask, storage, out),
+                    shards_estimate: self.leaf_shards(&caps, mask, stats),
                     warmth: self.leaf_warmth(&caps, walk),
+                    ..NodeFacts::new(path, plan, out, cells, storage, peak)
                 };
                 walk.nodes.push(facts);
                 out
@@ -781,31 +793,19 @@ impl<'a> PlanAnalyzer<'a> {
                         + usize::from(cache.has_vocab_index(tfp, *q));
                     (warm, 2)
                 });
-                let facts = NodeFacts {
-                    path: path.clone(),
-                    label: plan.label(),
-                    kind: "CandidateIndex",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: Tri::from_bool(self.cfg.sparse),
-                    fused: Tri::No,
-                    shards_estimate: self.leaf_shards(mask, stats),
-                    peak_bytes: self.candidate_index_peak(stats, out, cells),
+                let storage = Tri::from_bool(self.cfg.sparse);
+                let peak = self.candidate_index_peak(stats, out, cells);
+                // The index scan shards its rows under any mask.
+                let shards = rules::leaf_shards(&self.cfg, stats.rows, rules::workers(&self.cfg));
+                walk.nodes.push(NodeFacts {
+                    shards_estimate: shards,
                     warmth,
-                };
-                walk.nodes.push(facts);
+                    ..NodeFacts::new(path, plan, out, cells, storage, peak)
+                });
                 out
             }
             MatchPlan::Seq { filter, refine } => {
-                let first = self.node(
-                    filter,
-                    child_path(0, filter),
-                    mask,
-                    under_iterate,
-                    stats,
-                    walk,
-                );
+                let first = self.node(filter, child_path(0, filter), mask, stats, walk);
                 // The refine side always runs restricted to the filter's
                 // survivors (intersected with any outer mask), plus the
                 // survivor-mask allocations of the Seq itself.
@@ -813,40 +813,18 @@ impl<'a> PlanAnalyzer<'a> {
                     masked: Tri::Yes,
                     pairs_hi: first.min(mask.pairs_hi),
                 };
-                let out = self.node(
-                    refine,
-                    child_path(1, refine),
-                    refine_mask,
-                    under_iterate,
-                    stats,
-                    walk,
-                );
+                let out = self.node(refine, child_path(1, refine), refine_mask, stats, walk);
+                let peak = cells / 4 + NODE_SLACK;
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Seq",
                     materialized: Tri::No,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: Tri::Maybe,
-                    fused: Tri::No,
-                    shards_estimate: 1,
-                    peak_bytes: cells / 4 + NODE_SLACK,
-                    warmth: None,
+                    ..NodeFacts::new(path, plan, out, cells, Tri::Maybe, peak)
                 });
                 out
             }
             MatchPlan::Par { plans, combination } => {
                 let mut sub_out: Vec<u64> = Vec::with_capacity(plans.len());
                 for (i, sub) in plans.iter().enumerate() {
-                    sub_out.push(self.node(
-                        sub,
-                        child_path(i, sub),
-                        mask,
-                        under_iterate,
-                        stats,
-                        walk,
-                    ));
+                    sub_out.push(self.node(sub, child_path(i, sub), mask, stats, walk));
                 }
                 // The stage cube holds one pair matrix per sub-plan
                 // result; each follows the engine's `pair_matrix` rule.
@@ -875,19 +853,8 @@ impl<'a> PlanAnalyzer<'a> {
                     cells.saturating_mul(DENSE_CELL + 4)
                 });
                 peak = peak.saturating_add(out.saturating_mul(RESULT_ENTRY));
-                walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Par",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: 1,
-                    peak_bytes: peak,
-                    warmth: None,
-                });
+                walk.nodes
+                    .push(NodeFacts::new(path, plan, out, cells, storage, peak));
                 out
             }
             MatchPlan::Filter {
@@ -897,8 +864,7 @@ impl<'a> PlanAnalyzer<'a> {
                 ..
             } => {
                 let fused = self.fusion(input, mask, &path, stats, walk);
-                let inner =
-                    self.prunable_input(input, &path, mask, fused, under_iterate, stats, walk);
+                let inner = self.prunable_input(input, &path, mask, fused, stats, walk);
                 let matrix_storage = self.pair_matrix_storage(inner, cells);
                 let sel = selection_pairs_bound(selection, *direction, m, n);
                 let out = bounded(sel, inner, 0, cells);
@@ -910,35 +876,20 @@ impl<'a> PlanAnalyzer<'a> {
                     peak = peak.saturating_add(self.fused_peak(input, stats));
                 }
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Filter",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: matrix_storage,
                     fused,
-                    shards_estimate: self.fused_shards(stats),
-                    peak_bytes: peak,
-                    warmth: None,
+                    shards_estimate: rules::fused_shards(&self.cfg, stats.rows),
+                    ..NodeFacts::new(path, plan, out, cells, matrix_storage, peak)
                 });
                 out
             }
             MatchPlan::TopK { input, k, per } => {
                 let fused = self.fusion(input, mask, &path, stats, walk);
-                let inner =
-                    self.prunable_input(input, &path, mask, fused, under_iterate, stats, walk);
+                let inner = self.prunable_input(input, &path, mask, fused, stats, walk);
                 let keep_hi = topk_pairs_bound(*k, *per, m, n).min(cells);
                 let out = keep_hi.min(inner);
-                // Pruned-matrix storage follows `sparse_storage` on the
+                // Pruned-matrix storage follows the density rule on the
                 // top-k keep mask, whose density is bounded statically.
-                let storage = if !self.cfg.sparse {
-                    Tri::No
-                } else if density(keep_hi, cells) <= self.cfg.sparse_density_cutoff {
-                    Tri::Yes
-                } else {
-                    Tri::Maybe
-                };
+                let storage = self.storage_within(density(keep_hi, cells));
                 let matrix_storage = self.pair_matrix_storage(inner, cells);
                 let mut peak = self
                     .pair_matrix_bytes(inner, cells, matrix_storage)
@@ -950,17 +901,9 @@ impl<'a> PlanAnalyzer<'a> {
                     peak = peak.saturating_add(self.fused_peak(input, stats));
                 }
                 walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "TopK",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: storage,
                     fused,
-                    shards_estimate: self.fused_shards(stats),
-                    peak_bytes: peak,
-                    warmth: None,
+                    shards_estimate: rules::fused_shards(&self.cfg, stats.rows),
+                    ..NodeFacts::new(path, plan, out, cells, storage, peak)
                 });
                 out
             }
@@ -980,7 +923,7 @@ impl<'a> PlanAnalyzer<'a> {
                     },
                     pairs_hi: mask.pairs_hi,
                 };
-                let inner = self.node(sub, child_path(0, sub), round_mask, true, stats, walk);
+                let inner = self.node(sub, child_path(0, sub), round_mask, stats, walk);
                 self.iterate_fixpoint_warning(sub, *max_rounds, *epsilon, &path, walk);
                 let storage = self.pair_matrix_storage(inner, cells);
                 let peak = self
@@ -989,19 +932,8 @@ impl<'a> PlanAnalyzer<'a> {
                     .saturating_add(cells / 4) // round masks
                     .saturating_add(inner.saturating_mul(RESULT_ENTRY))
                     .saturating_add(NODE_SLACK);
-                walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Iterate",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: inner,
-                    density_hi: density(inner, cells),
-                    storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: 1,
-                    peak_bytes: peak,
-                    warmth: None,
-                });
+                walk.nodes
+                    .push(NodeFacts::new(path, plan, inner, cells, storage, peak));
                 inner
             }
             MatchPlan::Reuse {
@@ -1043,19 +975,8 @@ impl<'a> PlanAnalyzer<'a> {
                     .saturating_add(compose)
                     .saturating_add(out.saturating_mul(RESULT_ENTRY))
                     .saturating_add(NODE_SLACK);
-                walk.nodes.push(NodeFacts {
-                    path,
-                    label: plan.label(),
-                    kind: "Reuse",
-                    materialized: Tri::Yes,
-                    out_pairs_hi: out,
-                    density_hi: density(out, cells),
-                    storage_sparse: storage,
-                    fused: Tri::No,
-                    shards_estimate: 1,
-                    peak_bytes: peak,
-                    warmth: None,
-                });
+                walk.nodes
+                    .push(NodeFacts::new(path, plan, out, cells, storage, peak));
                 out
             }
         }
@@ -1065,14 +986,12 @@ impl<'a> PlanAnalyzer<'a> {
     /// definitely-fused input leaf is absorbed — it never materializes
     /// its own stage; its facts record that and charge no bytes (the
     /// parent carries the fused-pipeline bound).
-    #[allow(clippy::too_many_arguments)]
     fn prunable_input(
         &self,
         input: &MatchPlan,
         path: &str,
         mask: MaskState,
         fused: Tri,
-        under_iterate: bool,
         stats: &TaskStats,
         walk: &mut Walk<'_>,
     ) -> u64 {
@@ -1095,22 +1014,17 @@ impl<'a> PlanAnalyzer<'a> {
                 stats.cols as u64,
             );
             let out = bounded(sel, mask.pairs_hi, 0, stats.cells());
-            walk.nodes.push(NodeFacts {
-                path: child_path,
-                label: input.label(),
-                kind: "Matchers",
+            let facts = NodeFacts {
                 materialized: Tri::No,
-                out_pairs_hi: out,
-                density_hi: density(out, stats.cells()),
-                storage_sparse: Tri::Maybe,
                 fused: Tri::Maybe,
-                shards_estimate: self.fused_shards(stats),
-                peak_bytes: 0,
+                shards_estimate: rules::fused_shards(&self.cfg, stats.rows),
                 warmth: self.leaf_warmth(&caps, walk),
-            });
+                ..NodeFacts::new(child_path, input, out, stats.cells(), Tri::Maybe, 0)
+            };
+            walk.nodes.push(facts);
             return out;
         }
-        let out = self.node(input, child_path, mask, under_iterate, stats, walk);
+        let out = self.node(input, child_path, mask, stats, walk);
         if fused == Tri::Maybe {
             // The leaf's stage may or may not materialize; mark it.
             if let Some(facts) = walk.nodes.last_mut() {
@@ -1122,9 +1036,10 @@ impl<'a> PlanAnalyzer<'a> {
         out
     }
 
-    /// Mirrors the engine's `try_fuse` preconditions as a [`Tri`], and
-    /// emits the unfusable-prune warning when only a matcher capability
-    /// or the leaf's unbounded selection blocks fusion.
+    /// The engine's fusion rule ([`rules::fusable_leaf`]) as a [`Tri`]
+    /// over the node's restriction state. Emits the pinned-feedback note,
+    /// and the unfusable-prune warning when an unrestricted stage is
+    /// blocked only by its leaf's selection or matchers.
     fn fusion(
         &self,
         input: &MatchPlan,
@@ -1133,69 +1048,42 @@ impl<'a> PlanAnalyzer<'a> {
         stats: &TaskStats,
         walk: &mut Walk<'_>,
     ) -> Tri {
-        let MatchPlan::Matchers {
-            matchers,
-            combination,
-        } = input
-        else {
-            return Tri::No;
-        };
-        if !(self.cfg.fuse_pruning && self.cfg.sparse) {
-            return Tri::No;
-        }
-        if stats.feedback_pins > 0 {
-            walk.notes.push(PlanDiagnostic {
-                severity: Severity::Note,
-                code: "N_FUSE_FEEDBACK".to_string(),
-                node_path: path.to_string(),
-                message: format!(
-                    "{} pinned feedback correspondences disable streaming-fused pruning \
-                     (pins must resurface in the full combination)",
-                    stats.feedback_pins
-                ),
-            });
-            return Tri::No;
-        }
-        let prunes =
-            combination.selection.max_n.is_some() || combination.selection.threshold.is_some();
-        let caps = self.resolve_quiet(matchers);
-        let unshardable: Vec<&str> = caps
-            .iter()
-            .filter(|c| !c.row_shardable())
-            .map(|c| c.name.as_str())
-            .collect();
-        if !prunes || !unshardable.is_empty() {
-            if mask.masked == Tri::No && !matchers.is_empty() {
-                let message = if !prunes {
-                    "the input leaf's selection neither caps nor thresholds, so \
-                     streaming-fused pruning cannot engage: the full dense matrix will be \
-                     materialized before this node prunes it"
-                        .to_string()
-                } else {
-                    format!(
-                        "matcher(s) {} are not row-shardable, so streaming-fused pruning \
-                         cannot engage: the full dense matrix will be materialized before \
-                         this node prunes it",
-                        unshardable.join(", ")
-                    )
-                };
-                walk.warns.push(PlanDiagnostic {
-                    severity: Severity::Warn,
-                    code: "W_UNFUSABLE_PRUNE".to_string(),
+        let blocked = "streaming-fused pruning cannot engage: the full dense matrix will be \
+                       materialized before this node prunes it";
+        let message = match rules::fusable_leaf(&self.cfg, self.library, input, stats.feedback_pins)
+        {
+            // Fused exactly when the stage runs unrestricted.
+            Ok(_) => return Tri::between(mask.masked == Tri::No, mask.masked != Tri::Yes),
+            Err(Unfusable::Feedback) => {
+                walk.notes.push(PlanDiagnostic {
+                    severity: Severity::Note,
+                    code: "N_FUSE_FEEDBACK".to_string(),
                     node_path: path.to_string(),
-                    message,
+                    message: format!(
+                        "{} pinned feedback correspondences disable streaming-fused pruning \
+                         (pins must resurface in the full combination)",
+                        stats.feedback_pins
+                    ),
                 });
+                return Tri::No;
             }
-            return Tri::No;
-        }
-        if caps.iter().any(|c| c.resolved.is_none()) || matchers.is_empty() {
-            return Tri::No;
-        }
-        match mask.masked {
-            Tri::Yes => Tri::No,
-            Tri::No => Tri::Yes,
-            Tri::Maybe => Tri::Maybe,
-        }
+            Err(_) if mask.masked != Tri::No => return Tri::No,
+            Err(Unfusable::Unbounded) => {
+                format!("the input leaf's selection neither caps nor thresholds, so {blocked}")
+            }
+            Err(Unfusable::Unshardable(names)) => format!(
+                "matcher(s) {} are not row-shardable, so {blocked}",
+                names.join(", ")
+            ),
+            Err(Unfusable::NotALeaf | Unfusable::Off) => return Tri::No,
+        };
+        walk.warns.push(PlanDiagnostic {
+            severity: Severity::Warn,
+            code: "W_UNFUSABLE_PRUNE".to_string(),
+            node_path: path.to_string(),
+            message,
+        });
+        Tri::No
     }
 
     /// Warns when an `Iterate` wraps a plan whose fixpoint cannot move:
@@ -1279,40 +1167,33 @@ impl<'a> PlanAnalyzer<'a> {
         Some((warm, caps.len()))
     }
 
-    /// Storage of a masked (or unmasked) `Matchers`/`Reuse` stage: the
-    /// engine's `sparse_storage(mask)` over the mask-density bound.
+    /// [`rules::sparse_storage`] for a density of at most `density_hi`.
+    fn storage_within(&self, density_hi: f64) -> Tri {
+        Tri::between(
+            rules::sparse_storage(&self.cfg, 0.0),
+            rules::sparse_storage(&self.cfg, density_hi),
+        )
+    }
+
+    /// Storage of a `Matchers`/`Reuse` stage: unrestricted stages keep
+    /// dense slices, restricted ones follow the density rule over the
+    /// mask-density bound.
     fn masked_storage(&self, mask: MaskState, cells: u64) -> Tri {
+        let restricted = self.storage_within(density(mask.pairs_hi, cells));
         match mask.masked {
-            Tri::No => Tri::No, // unrestricted stages keep dense slices
-            Tri::Yes => {
-                if !self.cfg.sparse {
-                    Tri::No
-                } else if density(mask.pairs_hi, cells) <= self.cfg.sparse_density_cutoff {
-                    Tri::Yes
-                } else {
-                    Tri::Maybe
-                }
-            }
-            Tri::Maybe => {
-                if self.cfg.sparse {
-                    Tri::Maybe
-                } else {
-                    Tri::No
-                }
-            }
+            Tri::No => Tri::No,
+            Tri::Yes => restricted,
+            Tri::Maybe => Tri::No.join(restricted),
         }
     }
 
-    /// The engine's `pair_matrix` storage rule over an entry bound.
+    /// The engine's pair-matrix storage rule ([`rules::sparse_pairs`])
+    /// over an entry bound.
     fn pair_matrix_storage(&self, entries_hi: u64, cells: u64) -> Tri {
-        if !self.cfg.sparse || cells == 0 {
-            return Tri::No;
-        }
-        if density(entries_hi, cells) <= self.cfg.sparse_density_cutoff {
-            Tri::Yes
-        } else {
-            Tri::Maybe
-        }
+        Tri::between(
+            rules::sparse_pairs(&self.cfg, 0, cells),
+            rules::sparse_pairs(&self.cfg, entries_hi, cells),
+        )
     }
 
     fn pair_matrix_bytes(&self, entries_hi: u64, cells: u64, storage: Tri) -> u64 {
@@ -1407,8 +1288,8 @@ impl<'a> PlanAnalyzer<'a> {
             .saturating_add(elements.saturating_mul(64));
         // Per-thread pool scratch, charged at the machine-independent
         // worst case: the engine never runs more scorer threads than
-        // row shards.
-        let scratch = (self.fused_shards(stats) as u64)
+        // the fused pipeline's row shards.
+        let scratch = (rules::fused_shards(&self.cfg, stats.rows) as u64)
             .saturating_mul(stats.cols as u64 + 16)
             .saturating_mul(32);
         let output = if self.cfg.sparse {
@@ -1424,14 +1305,12 @@ impl<'a> PlanAnalyzer<'a> {
     }
 
     /// In-flight bound of the fused pipeline for `input` (a `Matchers`
-    /// leaf): `threads × shard slice bytes` as `fused_leaf` sizes them,
-    /// plus the CSR fragments/pools and the survivor matrix. The bound
-    /// is committed and gated across runners, so it must be
+    /// leaf): `threads × shard slice bytes` as [`rules::fused_threads`]
+    /// sizes them, plus the CSR fragments/pools and the survivor matrix.
+    /// The bound is committed and gated across runners, so it must be
     /// machine-independent: it charges the budget-capped worst case —
-    /// as many workers as `fuse_budget_bytes` admits — rather than this
-    /// machine's core count. The engine never exceeds that
-    /// (`threads = workers.min(budget_cap).min(shards)`), so the bound
-    /// holds on any machine.
+    /// as many workers as the fused budget admits — rather than this
+    /// machine's core count, which the engine's workers never exceed.
     fn fused_peak(&self, input: &MatchPlan, stats: &TaskStats) -> u64 {
         let MatchPlan::Matchers {
             matchers,
@@ -1440,21 +1319,17 @@ impl<'a> PlanAnalyzer<'a> {
         else {
             return 0;
         };
-        let (m, n) = (stats.rows as u64, stats.cols as u64);
-        let l = matchers.len() as u64;
-        let shards = self.fused_shards(stats) as u64;
-        let shard_rows = if shards == 0 { 0 } else { m.div_ceil(shards) };
-        let inflight = shard_rows
-            .saturating_mul(n)
-            .saturating_mul(DENSE_CELL)
-            .saturating_mul(l + 1);
-        let budget_cap = (self.cfg.fuse_budget_bytes as u64)
-            .checked_div(inflight)
-            .map_or(1, |cap| cap.max(1));
-        let threads = budget_cap.min(shards.max(1));
-        let sel = selection_pairs_bound(&combination.selection, combination.direction, m, n);
+        let (m, n) = (stats.rows, stats.cols);
+        let shards = rules::fused_shards(&self.cfg, m);
+        let (threads, inflight) = rules::fused_threads(usize::MAX, shards, m, n, matchers.len());
+        let sel = selection_pairs_bound(
+            &combination.selection,
+            combination.direction,
+            m as u64,
+            n as u64,
+        );
         let survivors = bounded(sel, stats.cells(), 0, stats.cells());
-        threads
+        (threads as u64)
             .saturating_mul(inflight)
             .saturating_add(survivors.saturating_mul(SPARSE_ENTRY).saturating_mul(3))
             // A fused Leaves still builds the shared full-pair leaf
@@ -1463,44 +1338,21 @@ impl<'a> PlanAnalyzer<'a> {
             .saturating_add(self.structural_scratch(&self.resolve_quiet(matchers), stats))
     }
 
-    /// The fused pipeline's shard count (`fused_leaf`'s formula — note it
-    /// ignores `parallel`: shards are a granularity, threads the
-    /// parallelism).
-    fn fused_shards(&self, stats: &TaskStats) -> usize {
-        let m = stats.rows;
-        match self.cfg.shards {
-            Some(forced) => forced.min(m.max(1)),
-            None => m.div_ceil(self.cfg.min_shard_rows).max(1),
-        }
-    }
-
-    /// `planned_shards` for a fresh unrestricted leaf compute with the
-    /// whole machine as budget (masked or memo-hit computes report 1).
-    fn leaf_shards(&self, mask: MaskState, stats: &TaskStats) -> usize {
-        if mask.masked == Tri::Yes {
+    /// Upper bound of a leaf's executed shard count: a fresh full
+    /// compute shards by [`rules::leaf_shards`] with the whole machine as
+    /// budget. Under a restriction, only a row-shardable matcher that
+    /// may compute (and mask) its full matrix still does.
+    fn leaf_shards(&self, caps: &[MatcherCaps], mask: MaskState, stats: &TaskStats) -> usize {
+        let density_hi = density(mask.pairs_hi, stats.cells());
+        let full_compute = |c: &MatcherCaps| {
+            c.resolved.as_ref().is_some_and(|m| {
+                m.row_shardable() && !rules::restricted_compute(&self.cfg, m.as_ref(), density_hi)
+            })
+        };
+        if mask.masked == Tri::Yes && !caps.iter().any(full_compute) {
             return 1;
         }
-        let rows = stats.rows;
-        if !self.cfg.parallel || rows == 0 {
-            return 1;
-        }
-        match self.cfg.shards {
-            Some(forced) => forced.min(rows),
-            None => self
-                .workers()
-                .min(rows.div_ceil(self.cfg.min_shard_rows))
-                .max(1),
-        }
-    }
-
-    fn workers(&self) -> usize {
-        if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            1
-        }
+        rules::leaf_shards(&self.cfg, stats.rows, rules::workers(&self.cfg))
     }
 }
 
@@ -1719,7 +1571,7 @@ mod tests {
             .find(|d| d.code == "W_DENSE_OVER_BUDGET")
             .expect("expected W_DENSE_OVER_BUDGET");
         assert!(
-            warn.message.contains("fuse_budget_bytes"),
+            warn.message.contains("fused in-flight budget"),
             "{}",
             warn.message
         );

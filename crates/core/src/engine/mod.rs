@@ -111,6 +111,7 @@ mod index;
 mod mask;
 mod memo;
 mod plan;
+mod rules;
 
 pub use analyze::{
     human_bytes, NodeFacts, PlanAnalysis, PlanAnalyzer, PlanDiagnostic, Severity, TaskStats, Tri,
@@ -171,6 +172,22 @@ pub struct StageOutcome {
     pub reuse_stats: Option<ReuseStats>,
 }
 
+impl StageOutcome {
+    /// An unsharded, unfused stage without index or reuse statistics;
+    /// callers override what differs.
+    fn new(label: String, cube: SimCube, result: &MatchResult) -> StageOutcome {
+        StageOutcome {
+            label,
+            cube,
+            result: result.clone(),
+            shards: 1,
+            fused: false,
+            index_stats: None,
+            reuse_stats: None,
+        }
+    }
+}
+
 /// The outcome of executing a plan: the final match result plus every
 /// materialized stage (the last stage belongs to the plan's root node).
 #[derive(Debug, Clone)]
@@ -229,9 +246,9 @@ pub struct EngineConfig {
     pub sparse: bool,
     /// Forced row-shard count for unrestricted computes; `None` sizes
     /// shards automatically (from available parallelism for plain
-    /// dense stages, from [`min_shard_rows`](EngineConfig::min_shard_rows)
-    /// for fused ones). Clamped to at least 1 and at most the task's row
-    /// count, so no shard is ever empty.
+    /// dense stages, from a fixed minimum of rows per shard for fused
+    /// ones). Clamped to at least 1 and at most the task's row count, so
+    /// no shard is ever empty.
     pub shards: Option<usize>,
     /// Streaming-fused execution of prunable stages (`TopK` or a
     /// pruning `Filter` directly over a `Matchers` leaf, unrestricted,
@@ -244,26 +261,6 @@ pub struct EngineConfig {
     /// [`sparse`](EngineConfig::sparse); results are bit-identical to
     /// unfused execution (property-tested).
     pub fuse_pruning: bool,
-    /// Masks at most this dense take the sparse execution path — and
-    /// their stages' matrices the sparse (CSR) *storage* — while denser
-    /// ones compute the full matrix (worth memoizing), mask it, and keep
-    /// it dense. One threshold drives both decisions: execution and
-    /// storage switch together at the stage boundary, based on
-    /// [`PairMask::density`]. Default `0.5`.
-    pub sparse_density_cutoff: f64,
-    /// Minimum rows per shard in automatic shard sizing: below this, the
-    /// per-shard setup (spawn, per-shard similarity tables) outweighs
-    /// the row work, so small tasks stay unsharded. Also the fused
-    /// pipeline's shard granularity — and thereby its peak-memory unit:
-    /// a fused worker holds at most one `min_shard_rows × n` dense slice
-    /// per matcher (plus their aggregate) at a time. Default `192`.
-    pub min_shard_rows: usize,
-    /// Soft cap, in bytes, on the fused pipeline's in-flight dense shard
-    /// slices across worker threads: the fused worker count is reduced
-    /// (never below 1) so that `workers × shard slice bytes` stays at or
-    /// under this budget, keeping fused peak memory machine-independent
-    /// instead of scaling with the core count. Default 1 GiB.
-    pub fuse_budget_bytes: usize,
 }
 
 impl Default for EngineConfig {
@@ -273,9 +270,6 @@ impl Default for EngineConfig {
             sparse: true,
             shards: None,
             fuse_pruning: true,
-            sparse_density_cutoff: 0.5,
-            min_shard_rows: 192,
-            fuse_budget_bytes: 1 << 30,
         }
     }
 }
@@ -303,25 +297,6 @@ impl EngineConfig {
     /// Sets [`fuse_pruning`](EngineConfig::fuse_pruning).
     pub fn with_fuse_pruning(mut self, fuse: bool) -> EngineConfig {
         self.fuse_pruning = fuse;
-        self
-    }
-
-    /// Sets [`sparse_density_cutoff`](EngineConfig::sparse_density_cutoff).
-    pub fn with_sparse_density_cutoff(mut self, cutoff: f64) -> EngineConfig {
-        self.sparse_density_cutoff = cutoff;
-        self
-    }
-
-    /// Sets [`min_shard_rows`](EngineConfig::min_shard_rows); clamped to
-    /// at least 1.
-    pub fn with_min_shard_rows(mut self, rows: usize) -> EngineConfig {
-        self.min_shard_rows = rows.max(1);
-        self
-    }
-
-    /// Sets [`fuse_budget_bytes`](EngineConfig::fuse_budget_bytes).
-    pub fn with_fuse_budget_bytes(mut self, bytes: usize) -> EngineConfig {
-        self.fuse_budget_bytes = bytes;
         self
     }
 }
@@ -379,29 +354,11 @@ impl<'l> PlanEngine<'l> {
         &self.cfg
     }
 
-    /// Whether a stage restricted by `mask` should store its matrices
-    /// sparse: the engine's sparse path is on and the mask has pruned the
-    /// pair space below the density cutoff.
-    fn sparse_storage(&self, mask: &PairMask) -> bool {
-        self.cfg.sparse && mask.density() <= self.cfg.sparse_density_cutoff
-    }
-
     /// How many row shards an unrestricted compute over `rows` rows
-    /// should use: the forced count when [`EngineConfig::shards`] set
-    /// one, otherwise the `budget` of workers this compute may occupy
-    /// (`available_parallelism()` divided by the leaf's concurrent
-    /// matcher fan-out, so a multi-matcher leaf never oversubscribes the
-    /// machine quadratically), bounded so every shard keeps at least
-    /// [`EngineConfig::min_shard_rows`] rows. Always 1 when parallelism
-    /// is off, and clamped so no shard is ever empty.
+    /// should use, given the `budget` of workers it may occupy (see
+    /// [`rules::leaf_shards`]).
     fn planned_shards(&self, rows: usize, budget: usize) -> usize {
-        if !self.cfg.parallel || rows == 0 {
-            return 1;
-        }
-        match self.cfg.shards {
-            Some(forced) => forced.min(rows),
-            None => budget.min(rows.div_ceil(self.cfg.min_shard_rows)).max(1),
-        }
+        rules::leaf_shards(&self.cfg, rows, budget)
     }
 
     /// One matcher's full (unrestricted) matrix, row-sharded across
@@ -444,22 +401,17 @@ impl<'l> PlanEngine<'l> {
     /// and the selected pairs are sparse in the pair space, dense
     /// otherwise.
     fn pair_matrix(&self, ctx: &MatchContext<'_>, result: &MatchResult) -> SimMatrix {
-        let cells = ctx.rows() * ctx.cols();
-        let sparse = self.cfg.sparse
-            && cells > 0
-            && (result.len() as f64 / cells as f64) <= self.cfg.sparse_density_cutoff;
-        if sparse {
-            SimMatrix::from_entries(
-                ctx.rows(),
-                ctx.cols(),
-                result
-                    .candidates
-                    .iter()
-                    .map(|c| (c.source.index(), c.target.index(), c.similarity)),
-            )
-        } else {
-            pair_matrix_dense(ctx, result)
+        let (m, n) = (ctx.rows(), ctx.cols());
+        let pairs = result.candidates.iter();
+        let pairs = pairs.map(|c| (c.source.index(), c.target.index(), c.similarity));
+        if rules::sparse_pairs(&self.cfg, result.len() as u64, (m * n) as u64) {
+            return SimMatrix::from_entries(m, n, pairs);
         }
+        let mut matrix = SimMatrix::new(m, n);
+        for (i, j, v) in pairs {
+            matrix.set(i, j, v);
+        }
+        matrix
     }
 
     /// Executes a plan on a match task. A restriction already present on
@@ -532,13 +484,8 @@ impl<'l> PlanEngine<'l> {
                 let result =
                     combine_cube_with_feedback(&cube, &ctx, combination, &ctx.aux.feedback);
                 stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
                     shards,
-                    fused: false,
-                    index_stats: None,
-                    reuse_stats: None,
+                    ..StageOutcome::new(plan.label(), cube, &result)
                 });
                 Ok(result)
             }
@@ -574,15 +521,7 @@ impl<'l> PlanEngine<'l> {
                 }
                 let result =
                     combine_cube_with_feedback(&cube, &ctx, combination, &ctx.aux.feedback);
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
-                    shards: 1,
-                    fused: false,
-                    index_stats: None,
-                    reuse_stats: None,
-                });
+                stages.push(StageOutcome::new(plan.label(), cube, &result));
                 Ok(result)
             }
             MatchPlan::Filter {
@@ -591,11 +530,7 @@ impl<'l> PlanEngine<'l> {
                 selection,
                 combined_sim,
             } => {
-                let fused = self.try_fuse(ctx, input, mask);
-                let (inner, fused_shards) = match fused {
-                    Some((inner, shards)) => (inner, Some(shards)),
-                    None => (self.exec(ctx, input, mask, stages)?, None),
-                };
+                let (inner, fused_shards) = self.prunable_input(ctx, input, mask, stages)?;
                 let matrix = self.pair_matrix(&ctx, &inner);
                 let candidates = DirectedCandidates::select(&matrix, *direction, selection);
                 let schema_similarity =
@@ -605,22 +540,14 @@ impl<'l> PlanEngine<'l> {
                 let mut cube = SimCube::new();
                 cube.push("Filtered", matrix);
                 stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
                     shards: fused_shards.unwrap_or(1),
                     fused: fused_shards.is_some(),
-                    index_stats: None,
-                    reuse_stats: None,
+                    ..StageOutcome::new(plan.label(), cube, &result)
                 });
                 Ok(result)
             }
             MatchPlan::TopK { input, k, per } => {
-                let fused = self.try_fuse(ctx, input, mask);
-                let (inner, fused_shards) = match fused {
-                    Some((inner, shards)) => (inner, Some(shards)),
-                    None => (self.exec(ctx, input, mask, stages)?, None),
-                };
+                let (inner, fused_shards) = self.prunable_input(ctx, input, mask, stages)?;
                 let matrix = self.pair_matrix(&ctx, &inner);
                 let keep = PairMask::top_k_of(&matrix, *k, *per);
                 let kept: Vec<(usize, usize, f64)> = inner
@@ -629,7 +556,7 @@ impl<'l> PlanEngine<'l> {
                     .filter(|c| keep.allows(c.source.index(), c.target.index()))
                     .map(|c| (c.source.index(), c.target.index(), c.similarity))
                     .collect();
-                let pruned = if self.sparse_storage(&keep) {
+                let pruned = if rules::sparse_storage(&self.cfg, keep.density()) {
                     keep.masked_sparse(&matrix)
                 } else {
                     keep.masked_clone(&matrix).into_dense()
@@ -638,27 +565,13 @@ impl<'l> PlanEngine<'l> {
                 // pairs (like `Filter` does), not carried over from the
                 // pre-pruning result, so it stays consistent with the
                 // candidates this stage actually reports.
-                let survivors = DirectedCandidates::select(
-                    &pruned,
-                    crate::combine::Direction::Both,
-                    &crate::combine::Selection::threshold(0.0),
-                );
-                let schema_similarity = crate::combine::CombinedSim::Average.compute(
-                    &survivors,
-                    ctx.rows(),
-                    ctx.cols(),
-                );
-                let result = MatchResult::from_pairs(&ctx, kept, Some(schema_similarity));
+                let result = MatchResult::from_pairs(&ctx, kept, Some(average_similarity(&pruned)));
                 let mut cube = SimCube::new();
                 cube.push("TopK", pruned);
                 stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
                     shards: fused_shards.unwrap_or(1),
                     fused: fused_shards.is_some(),
-                    index_stats: None,
-                    reuse_stats: None,
+                    ..StageOutcome::new(plan.label(), cube, &result)
                 });
                 Ok(result)
             }
@@ -694,15 +607,7 @@ impl<'l> PlanEngine<'l> {
                 let result = result.expect("Iterate ran at least one round");
                 let mut cube = SimCube::new();
                 cube.push("Iterate", prev.expect("Iterate ran at least one round"));
-                stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
-                    shards: 1,
-                    fused: false,
-                    index_stats: None,
-                    reuse_stats: None,
-                });
+                stages.push(StageOutcome::new(plan.label(), cube, &result));
                 Ok(result)
             }
             MatchPlan::Reuse {
@@ -718,7 +623,7 @@ impl<'l> PlanEngine<'l> {
                 };
                 let (mut slice, reuse_stats) = resolver.compute(&ctx);
                 if let Some(mask) = mask {
-                    if self.sparse_storage(mask) {
+                    if rules::sparse_storage(&self.cfg, mask.density()) {
                         slice = mask.masked_sparse(&slice);
                     } else {
                         mask.apply(&mut slice);
@@ -729,13 +634,8 @@ impl<'l> PlanEngine<'l> {
                 let result =
                     combine_cube_with_feedback(&cube, &ctx, combination, &ctx.aux.feedback);
                 stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
-                    shards: 1,
-                    fused: false,
-                    index_stats: None,
                     reuse_stats: Some(reuse_stats),
+                    ..StageOutcome::new(plan.label(), cube, &result)
                 });
                 Ok(result)
             }
@@ -753,28 +653,14 @@ impl<'l> PlanEngine<'l> {
                 let (slice, shards, stats) = self.candidate_stage(ctx, *q, params, mask);
                 // Like `TopK`: the schema similarity is the average of the
                 // pairs this stage actually emits.
-                let survivors = DirectedCandidates::select(
-                    &slice,
-                    crate::combine::Direction::Both,
-                    &crate::combine::Selection::threshold(0.0),
-                );
-                let schema_similarity = crate::combine::CombinedSim::Average.compute(
-                    &survivors,
-                    ctx.rows(),
-                    ctx.cols(),
-                );
                 let pairs: Vec<(usize, usize, f64)> = slice.nonzero().collect();
-                let result = MatchResult::from_pairs(&ctx, pairs, Some(schema_similarity));
+                let result = MatchResult::from_pairs(&ctx, pairs, Some(average_similarity(&slice)));
                 let mut cube = SimCube::new();
                 cube.push("CandidateIndex", slice);
                 stages.push(StageOutcome {
-                    label: plan.label(),
-                    cube,
-                    result: result.clone(),
                     shards,
-                    fused: false,
                     index_stats: Some(stats),
-                    reuse_stats: None,
+                    ..StageOutcome::new(plan.label(), cube, &result)
                 });
                 Ok(result)
             }
@@ -815,46 +701,11 @@ impl<'l> PlanEngine<'l> {
             distinct_grams: source.distinct_grams() + target.distinct_grams(),
         };
         let scorer = CandidateScorer::new(&source, &target, &ctx.aux.synonyms, params);
-
-        let workers = if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        let shards = self.planned_shards(m, workers);
-        let ranges = shard_ranges(m, shards);
-        let shards = ranges.len().max(1);
-        let threads = workers.min(shards).max(1);
-        let chunk = ranges.len().div_ceil(threads).max(1);
-        type WorkerOut = (Vec<SimMatrix>, Vec<(usize, usize, f64)>);
-        let mut outs: Vec<Option<WorkerOut>> =
-            (0..ranges.len().div_ceil(chunk)).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, range_chunk) in outs.iter_mut().zip(ranges.chunks(chunk)) {
-                if threads == 1 {
-                    *slot = Some(scorer.fill_ranges(range_chunk, mask));
-                } else {
-                    let scorer = &scorer;
-                    scope.spawn(move || *slot = Some(scorer.fill_ranges(range_chunk, mask)));
-                }
-            }
+        let workers = rules::workers(&self.cfg);
+        let ranges = shard_ranges(m, self.planned_shards(m, workers));
+        let (row_side, pooled) = rules::run_row_shards(m, n, &ranges, workers, |chunk| {
+            scorer.fill_ranges(chunk, mask)
         });
-        let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
-        let mut pooled: Vec<(usize, usize, f64)> = Vec::new();
-        for out in outs {
-            let (frags, pool) = out.expect("every candidate worker ran to completion");
-            fragments.extend(frags);
-            pooled.extend(pool);
-        }
-        let row_side = SimMatrix::from_row_shards(n, fragments);
-        let row_side = if row_side.rows() == m {
-            row_side
-        } else {
-            debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
-            SimMatrix::sparse(m, n)
-        };
         // Per-element cap: the row fragments already hold each source
         // element's best `cap`; the pooled per-column candidates (a
         // folded superset, like the fused pipeline's pools) are
@@ -874,7 +725,7 @@ impl<'l> PlanEngine<'l> {
             // leaf too.
             survivors.into_dense()
         };
-        (survivors, shards, stats)
+        (survivors, ranges.len().max(1), stats)
     }
 
     /// Executes a leaf's matchers — in parallel when the machine and the
@@ -899,18 +750,12 @@ impl<'l> PlanEngine<'l> {
             })
             .collect::<Result<_>>()?;
 
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let workers = rules::workers(&self.cfg);
         // The worker budget each slice compute may occupy with row
         // shards: the whole machine for a single-matcher leaf, the
         // remainder after the leaf's own matcher fan-out otherwise —
         // total threads stay bounded by ~`workers` either way.
-        let fan_out = if self.cfg.parallel && workers > 1 && matchers.len() > 1 {
-            workers.min(matchers.len())
-        } else {
-            1
-        };
+        let fan_out = workers.min(matchers.len()).max(1);
         let budget = (workers / fan_out).max(1);
         let compute_one = |matcher: &Arc<dyn Matcher>| -> (Arc<SimMatrix>, usize) {
             self.compute_slice(ctx, matcher, mask, budget)
@@ -918,10 +763,10 @@ impl<'l> PlanEngine<'l> {
 
         let mut slots: Vec<Option<(Arc<SimMatrix>, usize)>> =
             (0..matchers.len()).map(|_| None).collect();
-        if self.cfg.parallel && workers > 1 && matchers.len() > 1 {
+        if fan_out > 1 {
             // At most `workers` threads, each owning a contiguous chunk of
             // matcher slots.
-            let chunk = matchers.len().div_ceil(workers.min(matchers.len()));
+            let chunk = matchers.len().div_ceil(fan_out);
             std::thread::scope(|scope| {
                 for (slot_chunk, matcher_chunk) in
                     slots.chunks_mut(chunk).zip(matchers.chunks(chunk))
@@ -952,9 +797,9 @@ impl<'l> PlanEngine<'l> {
     /// One matcher's slice, through the memo and under the stage mask,
     /// plus the number of row shards the computation used (1 unless a
     /// fresh unrestricted compute was sharded). The slice's storage
-    /// follows [`PlanEngine::sparse_storage`]: pruned stages keep CSR
-    /// slices, unpruned (or dense-mode) stages keep dense ones — with
-    /// identical logical values either way.
+    /// follows [`rules::sparse_storage`]: pruned stages keep CSR slices,
+    /// unpruned (or dense-mode) stages keep dense ones — with identical
+    /// logical values either way.
     fn compute_slice(
         &self,
         ctx: MatchContext<'_>,
@@ -984,7 +829,8 @@ impl<'l> PlanEngine<'l> {
                 (slice, sharded.get())
             }
             (Some(mask), memo) => {
-                let sparse_store = self.sparse_storage(mask);
+                let density = mask.density();
+                let sparse_store = rules::sparse_storage(&self.cfg, density);
                 // A full matrix computed earlier is cheaper to mask than to
                 // recompute.
                 if let Some(full) = memo.and_then(|m| m.cached_matrix(name, identity)) {
@@ -999,11 +845,7 @@ impl<'l> PlanEngine<'l> {
                 // sparse-capable matchers (the structural ones) take the
                 // sparse path only when the mask prunes enough of the pair
                 // space to beat computing a full, memoizable matrix.
-                let honors_restriction = matcher.cell_local()
-                    || (self.cfg.sparse
-                        && matcher.sparse_capable()
-                        && mask.density() <= self.cfg.sparse_density_cutoff);
-                if honors_restriction {
+                if rules::restricted_compute(&self.cfg, matcher.as_ref(), density) {
                     // The matcher skips disallowed cells itself; the final
                     // mask application is a cheap safety net for
                     // implementations that ignore the restriction (and
@@ -1038,55 +880,31 @@ impl<'l> PlanEngine<'l> {
         }
     }
 
-    /// Attempts the streaming-fused execution of a prunable stage's
-    /// *input* leaf. Fusion engages when `input` is a `Matchers` leaf
-    /// whose selection actually prunes (`max_n` or `threshold` present),
-    /// every leaf matcher is
-    /// [`row_shardable`](crate::Matcher::row_shardable), the context is
-    /// unrestricted, no feedback is pinned, and the engine's sparse path
-    /// is on. Returns the leaf's exact `MatchResult` — bit-identical to
-    /// unfused execution (property-tested) — plus the shard count, or
-    /// `None` when fusion does not apply (the caller falls back to the
-    /// regular recursive execution).
-    fn try_fuse(
+    /// Executes a prunable stage's input: streaming-fused when
+    /// [`rules::fusable_leaf`] admits the leaf and the stage runs
+    /// unrestricted — bit-identical to the regular recursive execution
+    /// (property-tested) — and then also returns the fused pipeline's
+    /// shard count.
+    fn prunable_input(
         &self,
         ctx: MatchContext<'_>,
         input: &MatchPlan,
         mask: Option<&PairMask>,
-    ) -> Option<(MatchResult, usize)> {
-        if !(self.cfg.fuse_pruning && self.cfg.sparse)
-            || mask.is_some()
-            || !ctx.aux.feedback.is_empty()
-        {
-            return None;
+        stages: &mut Vec<StageOutcome>,
+    ) -> Result<(MatchResult, Option<usize>)> {
+        let feedback = ctx.aux.feedback.len();
+        match rules::fusable_leaf(&self.cfg, self.library, input, feedback) {
+            Ok((matchers, combination)) if mask.is_none() => {
+                let (result, shards) = self.fused_leaf(ctx, &matchers, combination);
+                Ok((result, Some(shards)))
+            }
+            _ => Ok((self.exec(ctx, input, mask, stages)?, None)),
         }
-        let MatchPlan::Matchers {
-            matchers,
-            combination,
-        } = input
-        else {
-            return None;
-        };
-        // An unbounded selection keeps every nonzero cell: there is
-        // nothing to prune inside a shard, and "fusing" would only
-        // rebuild the full matrix in CSR form.
-        if combination.selection.max_n.is_none() && combination.selection.threshold.is_none() {
-            return None;
-        }
-        let resolved: Vec<(String, Arc<dyn Matcher>)> = matchers
-            .iter()
-            .map(|name| self.library.get(name).map(|m| (name.clone(), m)))
-            .collect::<Option<_>>()?;
-        if resolved.is_empty() || resolved.iter().any(|(_, m)| !m.row_shardable()) {
-            return None;
-        }
-        Some(self.fused_leaf(ctx, &resolved, combination))
     }
 
-    /// The fused pipeline behind [`PlanEngine::try_fuse`] — the engine's
+    /// The fused pipeline behind [`PlanEngine::prunable_input`] — the engine's
     /// third execution mode, next to dense and sparse-restricted. Each
-    /// row shard (sized by [`EngineConfig::min_shard_rows`] unless
-    /// [`EngineConfig::shards`] forces a count) runs
+    /// row shard (sized by [`rules::fused_shards`]) runs
     /// [`compute_rows`](crate::Matcher::compute_rows) for every matcher,
     /// aggregates the shard cube, and applies the leaf's selection
     /// *inside the shard*:
@@ -1113,83 +931,26 @@ impl<'l> PlanEngine<'l> {
         combination: &CombinationStrategy,
     ) -> (MatchResult, usize) {
         let (m, n) = (ctx.rows(), ctx.cols());
-        let shards = match self.cfg.shards {
-            Some(forced) => forced.min(m.max(1)),
-            None => m.div_ceil(self.cfg.min_shard_rows).max(1),
-        };
-        let ranges = shard_ranges(m, shards);
+        let ranges = shard_ranges(m, rules::fused_shards(&self.cfg, m));
         let shards = ranges.len().max(1);
         let (want_for_targets, want_for_sources) = directional_wants(combination.direction, m, n);
-
-        // Worker threads, each processing a contiguous chunk of shards
-        // *sequentially* so it holds at most one shard's dense slices
-        // (one per matcher, plus their aggregate) in flight. The count
-        // is bounded by the machine, the shard count, and the fused
-        // in-flight budget — peak memory must not scale with the core
-        // count (see `EngineConfig::fuse_budget_bytes`).
-        let workers = if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        let shard_rows = ranges.first().map_or(0, ExactSizeIterator::len);
-        let inflight_bytes = shard_rows * n * 8 * (matchers.len() + 1);
-        let budget_cap = match inflight_bytes {
-            0 => workers,
-            b => (self.cfg.fuse_budget_bytes / b).max(1),
-        };
-        let threads = workers.min(budget_cap).min(shards).max(1);
-
-        let chunk = ranges.len().div_ceil(threads).max(1);
-        type WorkerOut = (Vec<SimMatrix>, Vec<(usize, usize, f64)>);
-        let mut outs: Vec<Option<WorkerOut>> =
-            (0..ranges.len().div_ceil(chunk)).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, range_chunk) in outs.iter_mut().zip(ranges.chunks(chunk)) {
-                if threads == 1 {
-                    // Single worker: skip the spawn entirely.
-                    *slot = Some(self.fused_worker(
-                        ctx,
-                        matchers,
-                        combination,
-                        range_chunk,
-                        want_for_targets,
-                        want_for_sources,
-                    ));
-                } else {
-                    scope.spawn(move || {
-                        *slot = Some(self.fused_worker(
-                            ctx,
-                            matchers,
-                            combination,
-                            range_chunk,
-                            want_for_targets,
-                            want_for_sources,
-                        ));
-                    });
-                }
-            }
+        // Each worker runs its chunk of shards *sequentially*, so it holds
+        // at most one shard's dense slices in flight; the fused budget
+        // bounds the worker count (see `rules::fused_threads`).
+        let (threads, _) =
+            rules::fused_threads(rules::workers(&self.cfg), shards, m, n, matchers.len());
+        // The row-side survivors are `m × n` even when the direction
+        // skipped the per-source ranking (the fragments are then empty).
+        let (row_side, pooled) = rules::run_row_shards(m, n, &ranges, threads, |chunk| {
+            self.fused_worker(
+                ctx,
+                matchers,
+                combination,
+                chunk,
+                want_for_targets,
+                want_for_sources,
+            )
         });
-
-        let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
-        let mut pooled: Vec<(usize, usize, f64)> = Vec::new();
-        for out in outs {
-            let (frags, pool) = out.expect("every fused worker ran to completion");
-            fragments.extend(frags);
-            pooled.extend(pool);
-        }
-        // The row-side survivors, stitched in row order; `m × n` even
-        // when the direction skipped the per-source ranking (the
-        // fragments are then empty) or the task has no rows at all.
-        let row_side = SimMatrix::from_row_shards(n, fragments);
-        let row_side = if row_side.rows() == m {
-            row_side
-        } else {
-            debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
-            SimMatrix::sparse(m, n)
-        };
         let survivors = if pooled.is_empty() {
             row_side
         } else {
@@ -1197,9 +958,9 @@ impl<'l> PlanEngine<'l> {
         };
 
         // Identical to `combine_cube_with_feedback` on the full
-        // aggregate: feedback is empty (gated in `try_fuse`), and the
-        // selection over the survivor matrix reproduces the global
-        // directional candidate lists exactly.
+        // aggregate: feedback is empty (`rules::fusable_leaf` requires
+        // it), and the selection over the survivor matrix reproduces the
+        // global directional candidate lists exactly.
         let candidates =
             DirectedCandidates::select(&survivors, combination.direction, &combination.selection);
         let schema_similarity = combination.combined_sim.compute(&candidates, m, n);
@@ -1327,13 +1088,12 @@ fn merge_pooled(row_side: &SimMatrix, mut pooled: Vec<(usize, usize, f64)>) -> S
     builder.finish()
 }
 
-/// The dense form of [`PlanEngine::pair_matrix`].
-fn pair_matrix_dense(ctx: &MatchContext<'_>, result: &MatchResult) -> SimMatrix {
-    let mut matrix = SimMatrix::new(ctx.rows(), ctx.cols());
-    for c in &result.candidates {
-        matrix.set(c.source.index(), c.target.index(), c.similarity);
-    }
-    matrix
+/// The average similarity over every nonzero cell of `matrix`: the
+/// schema similarity of a stage that emits exactly those pairs.
+fn average_similarity(matrix: &SimMatrix) -> f64 {
+    let selection = crate::combine::Selection::threshold(0.0);
+    let survivors = DirectedCandidates::select(matrix, crate::combine::Direction::Both, &selection);
+    crate::combine::CombinedSim::Average.compute(&survivors, matrix.rows(), matrix.cols())
 }
 
 #[cfg(test)]

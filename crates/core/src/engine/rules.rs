@@ -1,0 +1,355 @@
+//! The engine's execution decisions, each defined once: storage, fusion,
+//! and shard, worker and fused-thread counts. [`PlanEngine`](super::PlanEngine)
+//! evaluates these rules on runtime values and
+//! [`PlanAnalyzer`](super::PlanAnalyzer) on its static bounds, so a
+//! prediction cannot drift from what it predicts. Also home to the runner
+//! both row-sharded pipelines (fused leaf, candidate index) execute on.
+
+use super::{EngineConfig, MatchPlan};
+use crate::combine::CombinationStrategy;
+use crate::cube::SimMatrix;
+use crate::matchers::{Matcher, MatcherLibrary};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Restrictions and selected pair sets at most this dense (a share of the
+/// `m × n` pair space) store their stage's matrices sparse (CSR) and send
+/// sparse-capable matchers down the restricted execution path; denser
+/// ones compute the full matrix (worth memoizing) and stay dense.
+const SPARSE_DENSITY_CUTOFF: f64 = 0.5;
+
+/// Minimum rows per automatically sized shard: below it, per-shard setup
+/// (spawn, per-shard similarity tables) outweighs the row work. Also the
+/// fused pipeline's shard granularity, and so its peak-memory unit: a
+/// fused worker holds one `MIN_SHARD_ROWS × n` dense slice per matcher,
+/// plus their aggregate, at a time.
+const MIN_SHARD_ROWS: usize = 192;
+
+/// Soft cap, in bytes, on the fused pipeline's in-flight dense shard
+/// slices across its worker threads, so fused peak memory follows this
+/// budget instead of the machine's core count.
+pub(super) const FUSE_BUDGET_BYTES: u64 = 1 << 30;
+
+/// A leaf's matchers, resolved from the library in declaration order.
+pub(super) type Resolved = Vec<(String, Arc<dyn Matcher>)>;
+
+/// What one row-shard worker returns: a row fragment per shard it ran,
+/// plus pooled cells carrying global row indices.
+pub(super) type ShardOut = (Vec<SimMatrix>, Vec<(usize, usize, f64)>);
+
+/// Whether a stage restricted to `density` of its pair space (by a mask
+/// or a `TopK` keep set) stores its matrices sparse.
+pub(super) fn sparse_storage(cfg: &EngineConfig, density: f64) -> bool {
+    cfg.sparse && density <= SPARSE_DENSITY_CUTOFF
+}
+
+/// Whether the pair matrix of a result selecting `pairs` of `cells` pairs
+/// stores sparse; an empty pair space stays dense.
+pub(super) fn sparse_pairs(cfg: &EngineConfig, pairs: u64, cells: u64) -> bool {
+    cells > 0 && sparse_storage(cfg, pairs as f64 / cells as f64)
+}
+
+/// Whether `matcher` computes a stage restricted to `density` of its pair
+/// space under the restriction, instead of computing (and memoizing) its
+/// full matrix and masking that.
+pub(super) fn restricted_compute(cfg: &EngineConfig, matcher: &dyn Matcher, density: f64) -> bool {
+    matcher.cell_local() || (matcher.sparse_capable() && sparse_storage(cfg, density))
+}
+
+/// Why a prunable stage (`TopK`, or a pruning `Filter`) cannot fuse with
+/// its input, in the order [`fusable_leaf`] checks.
+pub(super) enum Unfusable {
+    /// The input is not a non-empty `Matchers` leaf.
+    NotALeaf,
+    /// Fusion or the sparse path is switched off.
+    Off,
+    /// Pinned feedback must resurface in the full combination.
+    Feedback,
+    /// The leaf's selection neither caps nor thresholds: nothing to prune.
+    Unbounded,
+    /// These leaf matchers are not row-shardable (or not in the library).
+    Unshardable(Vec<String>),
+}
+
+/// The fusion rule: a prunable stage streams compute → aggregate → select
+/// through row shards of its input when that input is a `Matchers` leaf
+/// whose selection prunes, every leaf matcher is row-shardable, no
+/// feedback is pinned, the sparse path and fusion are on — and the stage
+/// runs unrestricted, which the caller checks. Returns the leaf's
+/// resolved matchers and combination.
+pub(super) fn fusable_leaf<'p>(
+    cfg: &EngineConfig,
+    library: &MatcherLibrary,
+    input: &'p MatchPlan,
+    feedback_pins: usize,
+) -> Result<(Resolved, &'p CombinationStrategy), Unfusable> {
+    let MatchPlan::Matchers {
+        matchers,
+        combination,
+    } = input
+    else {
+        return Err(Unfusable::NotALeaf);
+    };
+    if !(cfg.fuse_pruning && cfg.sparse) {
+        return Err(Unfusable::Off);
+    }
+    if feedback_pins > 0 {
+        return Err(Unfusable::Feedback);
+    }
+    if matchers.is_empty() {
+        return Err(Unfusable::NotALeaf);
+    }
+    if combination.selection.max_n.is_none() && combination.selection.threshold.is_none() {
+        return Err(Unfusable::Unbounded);
+    }
+    let mut resolved = Vec::with_capacity(matchers.len());
+    let mut unshardable = Vec::new();
+    for name in matchers {
+        match library.get(name) {
+            Some(matcher) if matcher.row_shardable() => resolved.push((name.clone(), matcher)),
+            _ => unshardable.push(name.clone()),
+        }
+    }
+    if unshardable.is_empty() {
+        Ok((resolved, combination))
+    } else {
+        Err(Unfusable::Unshardable(unshardable))
+    }
+}
+
+/// Worker threads an execution may occupy: the machine's available
+/// parallelism, or 1 when parallel execution is off.
+pub(super) fn workers(cfg: &EngineConfig) -> usize {
+    if cfg.parallel {
+        std::thread::available_parallelism().map_or(1, |w| w.get())
+    } else {
+        1
+    }
+}
+
+/// Row shards of an unrestricted matcher compute or a candidate-index
+/// scan over `rows` rows: the forced [`EngineConfig::shards`] count, or
+/// else the `budget` of workers it may occupy, bounded so every shard
+/// keeps at least [`MIN_SHARD_ROWS`] rows. 1 when parallel execution is
+/// off; never more than `rows`.
+pub(super) fn leaf_shards(cfg: &EngineConfig, rows: usize, budget: usize) -> usize {
+    if !cfg.parallel || rows == 0 {
+        return 1;
+    }
+    match cfg.shards {
+        Some(forced) => forced.clamp(1, rows),
+        None => budget.min(rows.div_ceil(MIN_SHARD_ROWS)).max(1),
+    }
+}
+
+/// Row shards of the fused pipeline over `rows` rows: the forced count,
+/// or else one per [`MIN_SHARD_ROWS`] rows. Parallelism does not enter:
+/// shards are the pipeline's memory granularity, threads its parallelism.
+pub(super) fn fused_shards(cfg: &EngineConfig, rows: usize) -> usize {
+    match cfg.shards {
+        Some(forced) => forced.clamp(1, rows.max(1)),
+        None => rows.div_ceil(MIN_SHARD_ROWS).max(1),
+    }
+}
+
+/// The fused pipeline's worker threads over `shards` row shards of a
+/// `rows × cols` leaf of `matchers` matchers, and the bytes each worker
+/// holds in flight (one dense shard slice per matcher plus their
+/// aggregate). Threads are bounded by `workers`, by the shard count and
+/// by [`FUSE_BUDGET_BYTES`], never below 1.
+pub(super) fn fused_threads(
+    workers: usize,
+    shards: usize,
+    rows: usize,
+    cols: usize,
+    matchers: usize,
+) -> (usize, u64) {
+    let shard_rows = rows.div_ceil(shards.max(1)) as u64;
+    let inflight = shard_rows
+        .saturating_mul(cols as u64)
+        .saturating_mul(8 * (matchers as u64 + 1));
+    let budget_cap = FUSE_BUDGET_BYTES
+        .checked_div(inflight)
+        .map_or(usize::MAX, |cap| cap.max(1) as usize);
+    (workers.min(budget_cap).min(shards).max(1), inflight)
+}
+
+/// Runs `work` over the row `ranges` of a `rows × cols` task on at most
+/// `workers` scoped threads, each taking one contiguous chunk of ranges
+/// in order (a single worker runs inline, without a spawn), and joins
+/// what they return: the row fragments stitched in row order into one
+/// `rows × cols` matrix (sparse and empty when no fragment holds a row),
+/// and every worker's pooled cells.
+pub(super) fn run_row_shards<W>(
+    rows: usize,
+    cols: usize,
+    ranges: &[Range<usize>],
+    workers: usize,
+    work: W,
+) -> (SimMatrix, Vec<(usize, usize, f64)>)
+where
+    W: Fn(&[Range<usize>]) -> ShardOut + Sync,
+{
+    let threads = workers.min(ranges.len()).max(1);
+    let chunks = ranges.chunks(ranges.len().div_ceil(threads).max(1));
+    let outs: Vec<ShardOut> = if threads == 1 {
+        chunks.map(&work).collect()
+    } else {
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks.map(|c| scope.spawn(move || work(c))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("row-shard worker panicked"))
+                .collect()
+        })
+    };
+    let (mut fragments, mut pooled) = (Vec::with_capacity(ranges.len()), Vec::new());
+    for (frags, pool) in outs {
+        fragments.extend(frags);
+        pooled.extend(pool);
+    }
+    let row_side = SimMatrix::from_row_shards(cols, fragments);
+    if row_side.rows() == rows {
+        (row_side, pooled)
+    } else {
+        debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
+        (SimMatrix::sparse(rows, cols), pooled)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::combine::{CombinationStrategy, Selection};
+    use crate::engine::{
+        EngineConfig, MatchPlan, PlanAnalyzer, PlanEngine, TaskStats, TopKPer, Tri,
+    };
+    use crate::matchers::context::MatchContext;
+    use crate::process::Coma;
+    use coma_graph::PathSet;
+
+    fn leaf(names: &[&str], selection: Selection) -> MatchPlan {
+        let mut combination = CombinationStrategy::paper_default();
+        combination.selection = selection;
+        MatchPlan::matchers_with(names.iter().copied(), combination)
+    }
+
+    fn top(input: MatchPlan) -> MatchPlan {
+        input.top_k(2, TopKPer::Both).unwrap()
+    }
+
+    /// Every blocker of the fusion rule keeps the engine's prunable stage
+    /// unfused, makes the analyzer predict `No` for it, and raises its
+    /// diagnostic (or none); the unblocked plan fuses on both sides.
+    #[test]
+    fn fusion_blockers_agree_between_engine_and_analyzer() {
+        let source = coma_sql::import_ddl(
+            "CREATE TABLE PO.Customer (custNo INT, custName VARCHAR(200), custCity VARCHAR(200));",
+            "PO1",
+        )
+        .unwrap();
+        let target = coma_sql::import_ddl(
+            "CREATE TABLE PO.Buyer (buyerNo INT, buyerName VARCHAR(100), city VARCHAR(100));",
+            "PO2",
+        )
+        .unwrap();
+        let (source_paths, target_paths) = (
+            PathSet::new(&source).unwrap(),
+            PathSet::new(&target).unwrap(),
+        );
+        let prunable = || leaf(&["Name"], Selection::max_n(3).with_threshold(0.2));
+        let on = EngineConfig::default;
+        // (case, config, feedback pinned, plan, prunable stage fuses, diagnostic)
+        let cases = [
+            ("fusable", on(), false, top(prunable()), true, None),
+            (
+                "sparse off",
+                on().with_sparse(false),
+                false,
+                top(prunable()),
+                false,
+                None,
+            ),
+            (
+                "fusion off",
+                on().with_fuse_pruning(false),
+                false,
+                top(prunable()),
+                false,
+                None,
+            ),
+            (
+                "restricted context",
+                on(),
+                false,
+                MatchPlan::seq(MatchPlan::matchers(["Name"]), top(prunable())),
+                false,
+                None,
+            ),
+            (
+                "pinned feedback",
+                on(),
+                true,
+                top(prunable()),
+                false,
+                Some("N_FUSE_FEEDBACK"),
+            ),
+            (
+                "unbounded leaf selection",
+                on(),
+                false,
+                top(leaf(&["Name"], Selection::delta(0.1))),
+                false,
+                Some("W_UNFUSABLE_PRUNE"),
+            ),
+            (
+                "non-row-shardable matcher",
+                on(),
+                false,
+                top(leaf(&["Children"], Selection::max_n(3))),
+                false,
+                Some("W_UNFUSABLE_PRUNE"),
+            ),
+            (
+                "non-Matchers input",
+                on(),
+                false,
+                top(top(prunable())),
+                false,
+                None,
+            ),
+        ];
+        for (case, cfg, pinned, plan, fuses, diagnostic) in cases {
+            let mut coma = Coma::new();
+            if pinned {
+                coma.aux_mut().feedback.add_match("custName", "buyerName");
+            }
+            let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, coma.aux());
+            // The prunable stage is the plan's root, or a `Seq`'s refine.
+            let label = match &plan {
+                MatchPlan::Seq { refine, .. } => refine.label(),
+                root => root.label(),
+            };
+            let outcome = PlanEngine::with_config(coma.library(), cfg.clone())
+                .execute(&ctx, &plan)
+                .unwrap();
+            let stage = outcome.stages.iter().find(|s| s.label == label).unwrap();
+            assert_eq!(stage.fused, fuses, "{case}: engine");
+            let analysis =
+                PlanAnalyzer::new(coma.library(), cfg).analyze(&plan, &TaskStats::gather(&ctx));
+            let predicted = if fuses { Tri::Yes } else { Tri::No };
+            assert_eq!(
+                analysis.fused_prediction(&label),
+                predicted,
+                "{case}: analyzer"
+            );
+            let codes: Vec<&str> = analysis
+                .diagnostics
+                .iter()
+                .map(|d| d.code.as_str())
+                .filter(|&code| code == "N_FUSE_FEEDBACK" || code == "W_UNFUSABLE_PRUNE")
+                .collect();
+            assert_eq!(codes, Vec::from_iter(diagnostic), "{case}: diagnostics");
+        }
+    }
+}

@@ -18,7 +18,8 @@
 //! underlies the MatchCompose operation (Section 5.1).
 //!
 //! Persistence is pluggable behind [`RepositoryBackend`] — the embedded
-//! stand-in for the paper's external DBMS (see DESIGN.md, substitution 3):
+//! stand-in for the paper's external DBMS (see the "Repository backends"
+//! paragraph of `ARCHITECTURE.md` at the repository root):
 //! [`MemoryBackend`] for in-process stores, [`FileBackend`] for a
 //! human-readable JSON snapshot plus an append-only log of the
 //! [`Mutation`]s made since (a checkpoint and a log, as in a DBMS), and

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-specific lint gates that rustc/clippy do not express, run by the
-# CI lint job next to rustfmt and clippy. Two rules:
+# CI lint job next to rustfmt and clippy. Three rules:
 #
 # 1. No `.unwrap()` / `.expect(` in the server's session/drain paths
 #    (crates/server/src/server.rs and state.rs, non-test code). A panic
@@ -14,6 +14,12 @@
 #    the window; a timing call in the measured closure would charge its
 #    formatting/syscall allocations to the workload under measurement.
 #    Time around the window, allocate inside it — never both at once.
+#
+# 3. No `available_parallelism(` call on a non-comment line of
+#    crates/core/src/engine/ outside rules.rs. Worker, shard and thread
+#    counts are decided once there, for the engine that executes them and
+#    the analyzer that predicts them; a second call site is a forked rule
+#    the analyzer no longer sees.
 #
 # Exits nonzero with one line per violation.
 set -u
@@ -71,6 +77,18 @@ violations=$(find crates/bench/src -name '*.rs' -print | sort | xargs awk '
         }
     }
 ' 2>/dev/null)
+if [ -n "$violations" ]; then
+    printf '%s\n' "$violations"
+    status=1
+fi
+
+# --- rule 3: machine parallelism is read in engine/rules.rs only -----
+violations=$(find crates/core/src/engine -name '*.rs' ! -name rules.rs -print | sort | xargs awk '
+    /^[[:space:]]*\/\// { next }
+    /available_parallelism\(/ {
+        printf "%s:%d: parallelism read outside engine/rules.rs: %s\n", FILENAME, FNR, $0
+    }
+')
 if [ -n "$violations" ]; then
     printf '%s\n' "$violations"
     status=1

@@ -17,9 +17,11 @@
 //! canonical plans produce *definite* predictions where the engine's
 //! decision is statically known.
 
-use coma::core::plans::{candidate_index_plan, fused_filter_plan, topk_pruned_plan};
+use coma::core::plans::{
+    candidate_index_plan, fused_filter_plan, liberal_name_stage, topk_pruned_plan,
+};
 use coma::core::{
-    Coma, EngineConfig, MatchContext, MatchPlan, PlanAnalyzer, PlanEngine, TaskStats, Tri,
+    Coma, EngineConfig, MatchContext, MatchPlan, PlanAnalyzer, PlanEngine, TaskStats, TopKPer, Tri,
 };
 use coma::graph::PathSet;
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
@@ -198,5 +200,72 @@ fn peak_bound_covers_repeated_execution() {
             peak,
             analysis.peak_bytes
         );
+    }
+}
+
+/// `NodeFacts::shards_estimate` is an upper bound of what executes (as
+/// `--explain`'s `shards<=` claims): no stage runs more row shards than
+/// the largest estimate among the analyzed nodes carrying its label.
+/// Beyond the sweep above, two restricted stages that still shard under
+/// `with_shards(2)`: a `CandidateIndex` refining a `TopK` (the index scan
+/// shards its rows under any mask) and the dense-mode two-stage plan's
+/// refine leaf (it computes, shards and masks the full `Leaves` matrix).
+#[test]
+fn shard_estimates_bound_executed_shards() {
+    let _window = WINDOW.lock().unwrap();
+    let specs = [
+        WorkloadSpec::new(WorkloadShape::Star, 160, 11),
+        WorkloadSpec::new(WorkloadShape::Deep, 200, 23),
+        WorkloadSpec::new(WorkloadShape::Wide, 160, 37),
+    ];
+    let configs: [(&str, EngineConfig); 4] = [
+        ("default", EngineConfig::default()),
+        ("sharded", EngineConfig::default().with_shards(2)),
+        ("serial", EngineConfig::default().with_parallel(false)),
+        ("dense", EngineConfig::default().with_sparse(false)),
+    ];
+    let plans = [
+        ("topk_pruned", topk_pruned_plan(5)),
+        ("candidate_index", candidate_index_plan(5)),
+        ("fused_filter", fused_filter_plan()),
+    ];
+    let mut cases: Vec<(String, MatchPlan, EngineConfig)> = Vec::new();
+    for (cfg_name, cfg) in &configs {
+        for (plan_name, plan) in &plans {
+            cases.push((format!("{cfg_name}/{plan_name}"), plan.clone(), cfg.clone()));
+        }
+    }
+    let sharded = EngineConfig::default().with_shards(2);
+    let index_refine = MatchPlan::seq(
+        liberal_name_stage().top_k(5, TopKPer::Both).unwrap(),
+        MatchPlan::candidate_index_with(1, 0.0, 3, Some(5)).unwrap(),
+    );
+    cases.push(("sharded/index_refine".into(), index_refine, sharded.clone()));
+    let dense_sharded = sharded.with_sparse(false);
+    cases.push((
+        "dense_sharded/topk_pruned".into(),
+        topk_pruned_plan(5),
+        dense_sharded,
+    ));
+    for spec in &specs {
+        for (name, plan, cfg) in &cases {
+            let which = format!("{}/{name}", spec.label());
+            let run = analyze_and_execute(spec, plan, cfg.clone());
+            for stage in &run.outcome.stages {
+                let bound = run
+                    .analysis
+                    .nodes
+                    .iter()
+                    .filter(|f| f.label == stage.label)
+                    .map(|f| f.shards_estimate)
+                    .max();
+                assert!(
+                    bound.is_some_and(|b| stage.shards <= b),
+                    "{which}: stage `{}` ran {} shards, estimated <= {bound:?}",
+                    stage.label,
+                    stage.shards
+                );
+            }
+        }
     }
 }

@@ -44,9 +44,7 @@
 //!   static-analysis bound, nor may the freshly predicted bound grow
 //!   past the committed one (the bound is a pure function of the seeded
 //!   task statistics and the engine configuration, so both sides of the
-//!   rule are machine-independent). Older baselines (`BENCH_PR3.json`,
-//!   `BENCH_PR5.json`) parse fine — they simply carry fewer entry kinds
-//!   to gate.
+//!   rule are machine-independent).
 //! * `--calibrate-baseline GIT-REF|BIN` — re-measure the baseline *code*
 //!   on this machine, in this run, and gate every wall-clock-shaped rule
 //!   (wall times, service throughput, within-run speedup ratios,
@@ -113,7 +111,7 @@ use coma_server::{
     Client, InlineSchema, MatchConfig, MatchRequest, PlanSpec, Request, Response, SchemaFormat,
     SchemaRef, Server, ServerState,
 };
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -195,63 +193,24 @@ struct PredictionEntry {
 }
 
 /// The emitted/compared report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct BenchReport {
     version: u32,
     /// Wall time of the fixed calibration workload on this machine.
     calibration_ms: f64,
     tasks: Vec<TaskEntry>,
     speedups: Vec<SpeedupEntry>,
-    /// Peak allocations per generated workload (absent in pre-sparse
-    /// baselines; recorded, gated in-process only).
+    /// Peak allocations per generated workload (recorded, gated
+    /// in-process only).
     allocs: Vec<AllocEntry>,
-    /// Fused-execution peak ceilings (version-3 reports; absent in older
-    /// baselines). Gated both in-process and across runs.
+    /// Fused-execution peak ceilings. Gated both in-process and across
+    /// runs.
     ceilings: Vec<CeilingEntry>,
-    /// Service throughput (version-4 reports; absent in older baselines).
+    /// Service throughput.
     throughput: Vec<ThroughputEntry>,
-    /// Static-analysis prediction bounds (version-5 reports; absent in
-    /// older baselines). Gated both in-process and across runs.
+    /// Static-analysis prediction bounds. Gated both in-process and
+    /// across runs.
     predictions: Vec<PredictionEntry>,
-}
-
-/// Hand-written so older baselines still parse: pre-sparse-storage
-/// reports carry no `allocs` key, pre-fusion (version ≤ 2) reports no
-/// `ceilings` key, pre-service (version ≤ 3) reports no `throughput`
-/// key, pre-analyzer (version ≤ 4) reports no `predictions` key.
-impl Deserialize for BenchReport {
-    fn from_value(value: &Value) -> Result<BenchReport, DeError> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected a BenchReport map"))?;
-        let has = |key: &str| entries.iter().any(|(k, _)| k.as_str() == Some(key));
-        Ok(BenchReport {
-            version: serde::field(entries, "version")?,
-            calibration_ms: serde::field(entries, "calibration_ms")?,
-            tasks: serde::field(entries, "tasks")?,
-            speedups: serde::field(entries, "speedups")?,
-            allocs: if has("allocs") {
-                serde::field(entries, "allocs")?
-            } else {
-                Vec::new()
-            },
-            ceilings: if has("ceilings") {
-                serde::field(entries, "ceilings")?
-            } else {
-                Vec::new()
-            },
-            throughput: if has("throughput") {
-                serde::field(entries, "throughput")?
-            } else {
-                Vec::new()
-            },
-            predictions: if has("predictions") {
-                serde::field(entries, "predictions")?
-            } else {
-                Vec::new()
-            },
-        })
-    }
 }
 
 /// Maximum tolerated regression of normalized wall times and speedups.
@@ -1471,11 +1430,12 @@ fn measure(opts: &Options) -> Result<BenchReport, String> {
     // --- repository persistence -------------------------------------------
     // One full persist of a store the size of the `serve_write`
     // benchmark's steady state: serialize, write, fsync, rename, fsync the
-    // directory (`repo/persist`). Then one write-through `mutate` into the
-    // same store: one synced log frame (`repo/append`). Cheap, so both run
-    // in quick mode too. The snapshot's and the frame's byte lengths take
-    // the `candidates` slots: they depend only on the repository and the
-    // format.
+    // directory (`repo/persist`). Then one load of that store: read and
+    // decode the snapshot (`repo/load`). Then one write-through `mutate`
+    // into the same store: one synced log frame (`repo/append`). Cheap, so
+    // all three run in quick mode too. The snapshot's byte length takes
+    // the persist and load `candidates` slots and the frame's the append
+    // slot: they depend only on the repository and the format.
     let store = persist_repository(&corpus)?;
     let dir = std::env::temp_dir().join(format!("coma_perf_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("repo/persist: {e}"))?;
@@ -1483,23 +1443,31 @@ fn measure(opts: &Options) -> Result<BenchReport, String> {
     let (ms, persisted) = time_best(PERSIST_RUNS * runs, || backend.persist(&store));
     let (peak, _) = alloc_track::measure_peak(|| backend.persist(&store));
     let bytes = std::fs::metadata(backend.path()).map(|m| m.len());
+    let (load_ms, loaded) = time_best(PERSIST_RUNS * runs, || backend.load());
+    let (load_peak, _) = alloc_track::measure_peak(|| backend.load());
     let appended = measure_append(&store, backend.path(), PERSIST_RUNS * runs);
     std::fs::remove_dir_all(&dir).ok();
     persisted.map_err(|e| format!("repo/persist: {e}"))?;
     let bytes = bytes.map_err(|e| format!("repo/persist: {e}"))?;
-    eprintln!(
-        "# repo/persist: {ms:.2} ms, peak {:.2} MiB, {bytes} bytes",
-        peak as f64 / (1 << 20) as f64
-    );
-    tasks.push(TaskEntry {
-        task: "repo/persist".into(),
-        wall_ms: ms,
-        candidates: bytes,
-    });
-    allocs.push(AllocEntry {
-        task: "repo/persist".into(),
-        peak_bytes: peak as u64,
-    });
+    loaded.map_err(|e| format!("repo/load: {e}"))?;
+    for (task, ms, peak) in [
+        ("repo/persist", ms, peak),
+        ("repo/load", load_ms, load_peak),
+    ] {
+        eprintln!(
+            "# {task}: {ms:.2} ms, peak {:.2} MiB, {bytes} bytes",
+            peak as f64 / (1 << 20) as f64
+        );
+        tasks.push(TaskEntry {
+            task: task.into(),
+            wall_ms: ms,
+            candidates: bytes,
+        });
+        allocs.push(AllocEntry {
+            task: task.into(),
+            peak_bytes: peak as u64,
+        });
+    }
     let (ms, peak, frame) = appended.map_err(|e| format!("repo/append: {e}"))?;
     eprintln!(
         "# repo/append: {ms:.3} ms, peak {:.3} MiB, {frame}-byte frame",

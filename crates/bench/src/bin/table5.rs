@@ -1,6 +1,7 @@
 //! Regenerates Table 5 of the paper: the characteristics of the five test
-//! schemas. The corpus is synthesized (see DESIGN.md), so these statistics
-//! must — and do — match the paper exactly.
+//! schemas. The corpus is synthesized (see README.md, "Reproducing the
+//! paper's evaluation"), so these statistics must — and do — match the
+//! paper exactly.
 
 use coma_eval::experiment::report::render_table;
 use coma_eval::{Corpus, SCHEMA_NAMES};

@@ -43,7 +43,7 @@
 //! assert_eq!(dense.to_sparse(), m);
 //! ```
 
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 
 /// The physical representation a [`SimMatrix`] currently uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -784,16 +784,32 @@ impl Serialize for SimMatrix {
 }
 
 impl Deserialize for SimMatrix {
-    fn from_value(value: &Value) -> Result<SimMatrix, DeError> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected a SimMatrix map"))?;
-        let m: usize = serde::field(entries, "m")?;
-        let n: usize = serde::field(entries, "n")?;
-        let has = |name: &str| entries.iter().any(|(k, _)| k.as_str() == Some(name));
-        if has("values") {
-            let values: Vec<f64> = serde::field(entries, "values")?;
-            if values.len() != m * n {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<SimMatrix, DeError> {
+        const FIELDS: [&str; 6] = [
+            "m",
+            "n",
+            "values",
+            "row_offsets",
+            "col_indices",
+            "sparse_values",
+        ];
+        let (mut m, mut n) = (None, None);
+        let mut values: Option<Vec<f64>> = None;
+        let (mut offsets, mut cols, mut vals) = (None, None, None);
+        serde::fields(d, &FIELDS, |d, i| match i {
+            0 => serde::first(d, &mut m),
+            1 => serde::first(d, &mut n),
+            2 => serde::first(d, &mut values),
+            // A dense matrix ignores the sparse keys.
+            3 if values.is_none() => serde::first(d, &mut offsets),
+            4 if values.is_none() => serde::first(d, &mut cols),
+            5 if values.is_none() => serde::first(d, &mut vals),
+            _ => d.skip(),
+        })?;
+        let m: usize = serde::required(m, "m")?;
+        let n: usize = serde::required(n, "n")?;
+        if let Some(values) = values {
+            if m.checked_mul(n) != Some(values.len()) {
                 return Err(DeError::custom("dense SimMatrix value count mismatch"));
             }
             return Ok(SimMatrix {
@@ -802,10 +818,10 @@ impl Deserialize for SimMatrix {
                 storage: SimStorage::Dense(values),
             });
         }
-        let offsets: Vec<usize> = serde::field(entries, "row_offsets")?;
-        let cols: Vec<usize> = serde::field(entries, "col_indices")?;
-        let vals: Vec<f64> = serde::field(entries, "sparse_values")?;
-        if offsets.len() != m + 1
+        let offsets: Vec<usize> = serde::required(offsets, "row_offsets")?;
+        let cols: Vec<usize> = serde::required(cols, "col_indices")?;
+        let vals: Vec<f64> = serde::required(vals, "sparse_values")?;
+        if m.checked_add(1) != Some(offsets.len())
             || cols.len() != vals.len()
             || offsets.first() != Some(&0)
             || offsets.last() != Some(&cols.len())
@@ -1173,6 +1189,19 @@ mod tests {
         // Corrupt sparse storage is rejected.
         let bad = r#"{"m":2,"n":2,"row_offsets":[0,1],"col_indices":[5],"sparse_values":[0.5]}"#;
         assert!(serde_json::from_str::<SimMatrix>(bad).is_err());
+    }
+
+    #[test]
+    fn deserialization_rejects_overflowing_dimensions() {
+        // The products and sums of these dimensions overflow `usize`; a
+        // wrapped result must not pass for the stored value count.
+        for bad in [
+            r#"{"m":4294967296,"n":4294967296,"values":[]}"#,
+            r#"{"m":18446744073709551615,"n":2,"values":[0.5]}"#,
+            r#"{"m":18446744073709551615,"n":1,"row_offsets":[],"col_indices":[],"sparse_values":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<SimMatrix>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

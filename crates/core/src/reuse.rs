@@ -514,7 +514,7 @@ fn path_stats(
 
 /// The `Fragment` reuse matcher. The paper names it ("the other, Fragment,
 /// operates on schema fragments", Section 5) without details; this is our
-/// reconstruction, documented in DESIGN.md:
+/// reconstruction:
 ///
 /// Every stored correspondence also witnesses correspondences between the
 /// **path suffixes** of its two elements (`…ShipTo.Address.City ↔

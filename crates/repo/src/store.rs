@@ -1,7 +1,7 @@
 use crate::{FileBackend, Mapping, RepositoryBackend, StoredCube};
 use coma_graph::Schema;
 use parking_lot::RwLock;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
@@ -108,14 +108,18 @@ impl Serialize for Repository {
 }
 
 impl Deserialize for Repository {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected map for struct `Repository`"))?;
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        let (mut schemas, mut mappings, mut cubes) = (None, None, None);
+        serde::fields(d, &["schemas", "mappings", "cubes"], |d, i| match i {
+            0 => serde::first(d, &mut schemas),
+            1 => serde::first(d, &mut mappings),
+            2 => serde::first(d, &mut cubes),
+            _ => d.skip(),
+        })?;
         Ok(Repository {
-            schemas: serde::field(entries, "schemas")?,
-            mappings: serde::field(entries, "mappings")?,
-            cubes: serde::field(entries, "cubes")?,
+            schemas: serde::required(schemas, "schemas")?,
+            mappings: serde::required(mappings, "mappings")?,
+            cubes: serde::required(cubes, "cubes")?,
             journal: None,
         })
     }

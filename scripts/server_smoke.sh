@@ -7,7 +7,8 @@
 # (fetch + match by name, no re-upload); then store one more schema,
 # which stays in the store's log, kill the server with SIGKILL and
 # verify a third server replays it; then send one deeply nested frame
-# and check the server still answers. Any nonzero exit fails the job.
+# and one 64 MiB flat frame and check the server still answers, its peak
+# resident set under 256 MiB. Any nonzero exit fails the job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -80,9 +81,28 @@ with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
     if s.recv(1):
         sys.exit("FAIL: the server answered a malformed frame")
 PY
+
+echo "== a 64 MiB flat frame is rejected at its first token =="
+# The request type rejects a flat array at its first token, so the
+# frame's own 64 MiB buffer is the whole cost of the session: the
+# server's peak resident set stays well under 256 MiB.
+python3 - "$SOCKET" <<'PY'
+import socket, struct, sys
+
+payload = b"[" + b"0," * ((64 * 1024 * 1024 - 4) // 2) + b"0]"
+with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+    s.connect(sys.argv[1])
+    s.sendall(struct.pack(">I", len(payload)) + payload)
+    if s.recv(1):
+        sys.exit("FAIL: the server answered a malformed frame")
+PY
+HWM_KB=$(awk '/^VmHWM:/ { print $2 }' "/proc/$SERVER_PID/status")
+echo "server peak resident set: $HWM_KB kB"
+[ "$HWM_KB" -lt $((256 * 1024)) ] \
+    || { echo "FAIL: the server peaked at $HWM_KB kB, over 256 MiB"; exit 1; }
 "$CLI" --server "$SOCKET" stats
 "$CLI" --server "$SOCKET" shutdown
 wait "$SERVER_PID"
 SERVER_PID=""
 
-echo "server smoke passed: persistence survives a restart and a kill -9, a hostile frame does not crash"
+echo "server smoke passed: persistence survives a restart and a kill -9, hostile frames do not crash it or exhaust its memory"

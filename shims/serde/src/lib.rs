@@ -4,12 +4,12 @@
 //! access), so this shim provides the small surface the workspace uses:
 //! `Serialize` / `Deserialize` traits with `#[derive(...)]` support.
 //!
-//! Serialization streams: [`Serialize::serialize`] walks a value and
+//! Both directions stream. [`Serialize::serialize`] walks a value and
 //! feeds it, as a sequence of scalar and container events, into a
-//! [`Serializer`] — in practice one of the sibling `serde_json` shim's
-//! writers, which append JSON text straight into their output. No
-//! intermediate tree is built. Deserialization goes the other way through
-//! a parsed [`Value`] tree, which `serde_json` produces from JSON text.
+//! [`Serializer`]; [`Deserialize::deserialize`] pulls the same events back
+//! out of a [`Deserializer`], one at a time as the type asks for them. In
+//! practice both ends are the sibling `serde_json` shim's writer and
+//! parser, and no intermediate tree is built either way.
 //!
 //! The derive macros (from the `serde_derive` shim) support the shapes the
 //! workspace actually uses: structs with named fields, tuple structs, and
@@ -18,77 +18,12 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
-/// A parsed, self-describing value: what [`Deserialize`] reads.
-///
-/// Maps are ordered key/value pair lists. A JSON object parses into a
-/// map with string keys; maps whose keys are not all strings are written
-/// as arrays of `[key, value]` pairs and parse back as sequences, which
-/// the map deserializers accept too.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`; deserializes `Option::None`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// An integer written with a minus sign.
-    Int(i64),
-    /// An integer written without one.
-    UInt(u64),
-    /// A binary floating point number.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// A sequence of values.
-    Seq(Vec<Value>),
-    /// An ordered list of key/value entries.
-    Map(Vec<(Value, Value)>),
-}
-
-impl Value {
-    /// The entries of a map value, if this is a map.
-    pub fn as_map(&self) -> Option<&[(Value, Value)]> {
-        match self {
-            Value::Map(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    /// The elements of a sequence value, if this is a sequence.
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// A one-word description of the value's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::UInt(_) => "uint",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Seq(_) => "sequence",
-            Value::Map(_) => "map",
-        }
-    }
-}
-
-/// Deserialization error: a human-readable description of the mismatch.
+/// An error reading a value: a human-readable description of the input
+/// that did not fit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeError(String);
 
@@ -255,28 +190,200 @@ impl Serializer for FirstEvent {
     fn end_map(&mut self) {}
 }
 
-/// A type that can be reconstructed from a [`Value`] tree.
+/// A type that can read itself from a [`Deserializer`].
 pub trait Deserialize: Sized {
-    /// Deserializes an instance from a parsed value tree.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+    /// Reads one value of this type from `d`, pulling exactly the events
+    /// the type's shape asks for and failing at the first one that does
+    /// not fit.
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError>;
 }
 
-/// Looks up a struct field in a serialized map and deserializes it.
-/// Used by the derive macro.
-pub fn field<T: Deserialize>(entries: &[(Value, Value)], name: &str) -> Result<T, DeError> {
-    for (k, v) in entries {
-        if k.as_str() == Some(name) {
-            return T::from_value(v);
+/// A number as its text was written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// An integer written with a minus sign.
+    Int(i64),
+    /// An integer written without one.
+    UInt(u64),
+    /// A number written with a fraction or an exponent.
+    Float(f64),
+}
+
+/// The kind of value a [`Deserializer`] holds next, told by its first
+/// token: `null`, a boolean, a number, a string, a sequence or a map (an
+/// object).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Null,
+    Bool,
+    Number,
+    Str,
+    Seq,
+    Map,
+}
+
+/// The sending end of [`Deserialize::deserialize`]: an input format,
+/// read one event per call. It mirrors [`Serializer`]:
+///
+/// * a scalar is one call to `null`, `bool`, `number` or `str`;
+/// * a sequence is `begin_seq`, then `element` before each element's own
+///   events, until `element` returns `false`, which closes it;
+/// * a map with string keys is an object: `begin_map`, then `key`, the
+///   key's events, `value` and the value's events for each entry, until
+///   `key` returns `false`, which closes it. A map written as an array of
+///   `[key, value]` pairs is read as a sequence of two-element sequences.
+///
+/// A call that finds anything other than what it asks for fails; the
+/// caller then gives up on the whole input.
+pub trait Deserializer {
+    /// The kind of the next value, without consuming it.
+    fn peek(&mut self) -> Result<Kind, DeError>;
+    /// Reads `null`.
+    fn null(&mut self) -> Result<(), DeError>;
+    /// Reads a boolean.
+    fn bool(&mut self) -> Result<bool, DeError>;
+    /// Reads a number.
+    fn number(&mut self) -> Result<Number, DeError>;
+    /// Reads a string, borrowed until the next call.
+    fn str(&mut self) -> Result<&str, DeError>;
+    /// Opens a sequence.
+    fn begin_seq(&mut self) -> Result<(), DeError>;
+    /// Whether the innermost open sequence has another element, whose
+    /// events follow; `false` closes the sequence.
+    fn element(&mut self) -> Result<bool, DeError>;
+    /// Opens an object.
+    fn begin_map(&mut self) -> Result<(), DeError>;
+    /// Whether the innermost open object has another entry, whose key's
+    /// events follow; `false` closes the object.
+    fn key(&mut self) -> Result<bool, DeError>;
+    /// Separates the current entry's key from its value.
+    fn value(&mut self) -> Result<(), DeError>;
+
+    /// Reads the next value, whatever its shape, and discards it.
+    fn skip(&mut self) -> Result<(), DeError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::Str => self.str().map(drop),
+            Kind::Seq => {
+                self.begin_seq()?;
+                while self.element()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Kind::Map => {
+                self.begin_map()?;
+                while self.key()? {
+                    self.skip()?;
+                    self.value()?;
+                    self.skip()?;
+                }
+                Ok(())
+            }
         }
     }
-    Err(DeError::custom(format!("missing field `{name}`")))
 }
 
-fn unexpected<T>(expected: &str, got: &Value) -> Result<T, DeError> {
-    Err(DeError::custom(format!(
-        "expected {expected}, got {}",
-        got.kind()
-    )))
+// --- the derive's building blocks ----------------------------------------
+
+/// Reads a struct's object: `read` gets each field's index in `names`
+/// (`names.len()` for a name not listed) with the field's value next.
+pub fn fields<D: Deserializer>(
+    d: &mut D,
+    names: &[&str],
+    mut read: impl FnMut(&mut D, usize) -> Result<(), DeError>,
+) -> Result<(), DeError> {
+    d.begin_map()?;
+    while d.key()? {
+        let key = d.str()?;
+        let i = names.iter().position(|n| *n == key).unwrap_or(names.len());
+        d.value()?;
+        read(d, i)?;
+    }
+    Ok(())
+}
+
+/// Reads a field's value into `slot`, or skips it when an earlier entry
+/// of the same name filled the slot: the first of repeated fields wins.
+pub fn first<T: Deserialize, D: Deserializer>(
+    d: &mut D,
+    slot: &mut Option<T>,
+) -> Result<(), DeError> {
+    match slot {
+        Some(_) => d.skip(),
+        None => {
+            *slot = Some(T::deserialize(d)?);
+            Ok(())
+        }
+    }
+}
+
+/// The value of field `name`, which the struct must have had.
+pub fn required<T>(slot: Option<T>, name: &str) -> Result<T, DeError> {
+    slot.ok_or_else(|| DeError::custom(format!("missing field `{name}`")))
+}
+
+/// Reads a sequence that must hold exactly the elements `read` takes
+/// with [`element`].
+pub fn tuple<T, D: Deserializer>(
+    d: &mut D,
+    read: impl FnOnce(&mut D) -> Result<T, DeError>,
+) -> Result<T, DeError> {
+    d.begin_seq()?;
+    let value = read(d)?;
+    if d.element()? {
+        return Err(DeError::custom("tuple sequence too long"));
+    }
+    Ok(value)
+}
+
+/// Reads the next element of a [`tuple()`].
+pub fn element<T: Deserialize, D: Deserializer>(d: &mut D) -> Result<T, DeError> {
+    if d.element()? {
+        T::deserialize(d)
+    } else {
+        Err(DeError::custom("tuple sequence too short"))
+    }
+}
+
+/// Reads a value of enum `name`: `read` gets the variant's index in
+/// `variants`, each listed with whether it carries data. A unit variant
+/// is its name. A data variant is an object of one entry from its name to
+/// the payload, which `read` finds next.
+pub fn variant<T, D: Deserializer>(
+    d: &mut D,
+    name: &str,
+    variants: &[(&str, bool)],
+    read: impl FnOnce(&mut D, usize) -> Result<T, DeError>,
+) -> Result<T, DeError> {
+    let data = match d.peek()? {
+        Kind::Str => false,
+        Kind::Map if d.begin_map().and_then(|()| d.key())? => true,
+        other => {
+            return Err(DeError::custom(format!(
+                "expected variant of `{name}`, got {other:?}"
+            )))
+        }
+    };
+    let got = d.str()?;
+    let Some(i) = variants.iter().position(|&v| v == (got, data)) else {
+        return Err(DeError::custom(format!(
+            "unknown variant `{got}` of `{name}`"
+        )));
+    };
+    if !data {
+        return read(d, i);
+    }
+    d.value()?;
+    let value = read(d, i)?;
+    if d.key()? {
+        return Err(DeError::custom(format!(
+            "expected variant of `{name}`, got map of several entries"
+        )));
+    }
+    Ok(value)
 }
 
 impl Serialize for bool {
@@ -286,58 +393,36 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => unexpected("bool", other),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        d.bool()
     }
 }
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
+macro_rules! impl_integer {
+    ($($wide:ident: $($t:ty),*;)*) => {$($(
         impl Serialize for $t {
             fn serialize<S: Serializer>(&self, out: &mut S) {
-                out.i64(*self as i64);
+                out.$wide(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let wide: i128 = match value {
-                    Value::Int(i) => *i as i128,
-                    Value::UInt(u) => *u as i128,
-                    other => return unexpected("integer", other),
+            fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+                let wide = match d.number()? {
+                    Number::Int(i) => i128::from(i),
+                    Number::UInt(u) => i128::from(u),
+                    Number::Float(_) => return Err(DeError::custom("expected integer, got float")),
                 };
                 <$t>::try_from(wide)
                     .map_err(|_| DeError::custom(format!("integer {wide} out of range")))
             }
         }
-    )*};
+    )*)*};
 }
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize<S: Serializer>(&self, out: &mut S) {
-                out.u64(*self as u64);
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let wide: i128 = match value {
-                    Value::Int(i) => *i as i128,
-                    Value::UInt(u) => *u as i128,
-                    other => return unexpected("integer", other),
-                };
-                <$t>::try_from(wide)
-                    .map_err(|_| DeError::custom(format!("integer {wide} out of range")))
-            }
-        }
-    )*};
+impl_integer! {
+    i64: i8, i16, i32, i64, isize;
+    u64: u8, u16, u32, u64, usize;
 }
-
-impl_signed!(i8, i16, i32, i64, isize);
-impl_unsigned!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
@@ -346,33 +431,24 @@ macro_rules! impl_float {
                 out.f64(*self as f64);
             }
         }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::UInt(u) => Ok(*u as $t),
-                    other => unexpected("number", other),
-                }
-            }
-        }
     )*};
 }
 
 impl_float!(f32, f64);
 
-impl Serialize for char {
-    fn serialize<S: Serializer>(&self, out: &mut S) {
-        out.str(self.encode_utf8(&mut [0; 4]));
+impl Deserialize for f64 {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        Ok(match d.number()? {
+            Number::Int(i) => i as f64,
+            Number::UInt(u) => u as f64,
+            Number::Float(f) => f,
+        })
     }
 }
 
-impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => unexpected("single-char string", other),
-        }
+impl Serialize for char {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -383,11 +459,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => unexpected("string", other),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        d.str().map(str::to_owned)
     }
 }
 
@@ -403,18 +476,6 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn serialize<S: Serializer>(&self, out: &mut S) {
-        (**self).serialize(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        T::from_value(value).map(Box::new)
-    }
-}
-
 impl<T: Serialize> Serialize for std::sync::Arc<T> {
     fn serialize<S: Serializer>(&self, out: &mut S) {
         (**self).serialize(out);
@@ -422,20 +483,8 @@ impl<T: Serialize> Serialize for std::sync::Arc<T> {
 }
 
 impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        T::from_value(value).map(std::sync::Arc::new)
-    }
-}
-
-impl<T: Serialize> Serialize for std::rc::Rc<T> {
-    fn serialize<S: Serializer>(&self, out: &mut S) {
-        (**self).serialize(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        T::from_value(value).map(std::rc::Rc::new)
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        T::deserialize(d).map(std::sync::Arc::new)
     }
 }
 
@@ -449,10 +498,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        if d.peek()? == Kind::Null {
+            d.null().map(|()| None)
+        } else {
+            T::deserialize(d).map(Some)
         }
     }
 }
@@ -464,21 +514,12 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => unexpected("sequence", other),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        elements(d)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize<S: Serializer>(&self, out: &mut S) {
-        out.seq(self);
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize<S: Serializer>(&self, out: &mut S) {
         out.seq(self);
     }
@@ -496,17 +537,6 @@ macro_rules! impl_tuple {
                 out.end_seq();
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
-                match value {
-                    Value::Seq(items) if items.len() == LEN => {
-                        Ok(($($t::from_value(&items[$n])?,)+))
-                    }
-                    other => unexpected("tuple sequence", other),
-                }
-            }
-        }
     )*};
 }
 
@@ -517,20 +547,39 @@ impl_tuple! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
-fn map_entries(value: &Value) -> Result<Vec<(&Value, &Value)>, DeError> {
-    match value {
-        Value::Map(entries) => Ok(entries.iter().map(|(k, v)| (k, v)).collect()),
-        // JSON renders maps with non-string keys as arrays of [key, value]
-        // pairs; accept that representation symmetrically.
-        Value::Seq(items) => items
-            .iter()
-            .map(|item| match item {
-                Value::Seq(pair) if pair.len() == 2 => Ok((&pair[0], &pair[1])),
-                other => unexpected("[key, value] pair", other),
-            })
-            .collect(),
-        other => unexpected("map", other),
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        tuple(d, |d| Ok((element(d)?, element(d)?)))
     }
+}
+
+/// Reads a sequence, element by element.
+fn elements<T: Deserialize, D: Deserializer>(d: &mut D) -> Result<Vec<T>, DeError> {
+    let mut items = Vec::new();
+    d.begin_seq()?;
+    while d.element()? {
+        items.push(T::deserialize(d)?);
+    }
+    Ok(items)
+}
+
+/// Reads a map's entries in order. JSON writes a map whose keys are not
+/// all strings as an array of `[key, value]` pairs; both representations
+/// are accepted.
+fn entries<K: Deserialize, V: Deserialize, D: Deserializer>(
+    d: &mut D,
+) -> Result<Vec<(K, V)>, DeError> {
+    if d.peek()? == Kind::Seq {
+        return elements(d);
+    }
+    let mut entries = Vec::new();
+    d.begin_map()?;
+    while d.key()? {
+        let k = K::deserialize(d)?;
+        d.value()?;
+        entries.push((k, V::deserialize(d)?));
+    }
+    Ok(entries)
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
@@ -540,11 +589,8 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        map_entries(value)?
-            .into_iter()
-            .map(|(k, v)| Ok((K::from_value(k)?, V::from_value(v)?)))
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        entries(d).map(BTreeMap::from_iter)
     }
 }
 
@@ -555,26 +601,8 @@ impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        map_entries(value)?
-            .into_iter()
-            .map(|(k, v)| Ok((K::from_value(k)?, V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn serialize<S: Serializer>(&self, out: &mut S) {
-        out.seq(self);
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => unexpected("sequence", other),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        entries(d).map(HashMap::from_iter)
     }
 }
 
@@ -585,10 +613,7 @@ impl<T: Serialize> Serialize for HashSet<T> {
 }
 
 impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => unexpected("sequence", other),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, DeError> {
+        elements(d).map(HashSet::from_iter)
     }
 }

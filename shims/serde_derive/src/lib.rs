@@ -105,128 +105,100 @@ fn serialize_seq(items: &[String]) -> String {
     format!("out.begin_seq(); {} out.end_seq();", elements.concat())
 }
 
-/// Derives `serde::Deserialize` (value-tree reconstruction).
+/// Derives `serde::Deserialize`: a `deserialize` method that pulls the
+/// shape `Serialize` writes back out of a `serde::Deserializer`. Struct
+/// fields may arrive in any order; unknown fields are skipped, a repeated
+/// field keeps its first value and a missing one is an error. A tuple
+/// struct or tuple variant must have exactly its arity.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
-    let body = match &shape {
+    let (name, body) = match &shape {
         Shape::NamedStruct { name, fields } => {
+            let slots: Vec<String> = fields
+                .iter()
+                .map(|f| format!("let mut f_{f} = ::std::option::Option::None;"))
+                .collect();
+            let names: Vec<String> = fields.iter().map(|f| format!("\"{f}\"")).collect();
+            let arms: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("{i} => ::serde::first(__d, &mut f_{f}),"))
+                .collect();
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| format!("{f}: ::serde::field(entries, \"{f}\")?,"))
+                .map(|f| format!("{f}: ::serde::required(f_{f}, \"{f}\")?,"))
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                   fn from_value(value: &::serde::Value) \
-                     -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                     let entries = value.as_map().ok_or_else(|| \
-                       ::serde::DeError::custom(\"expected map for struct `{name}`\"))?;\n\
-                     ::std::result::Result::Ok({name} {{ {} }})\n\
-                   }}\n\
-                 }}",
-                inits.join(" ")
-            )
+            let body = format!(
+                "{}\n\
+                 ::serde::fields(__d, &[{}], |__d, __i| match __i {{\n\
+                   {} _ => ::serde::Deserializer::skip(__d),\n\
+                 }})?;\n\
+                 ::std::result::Result::Ok({name} {{ {} }})",
+                slots.concat(),
+                names.join(", "),
+                arms.concat(),
+                inits.concat()
+            );
+            (name, body)
         }
-        Shape::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-               fn from_value(value: &::serde::Value) \
-                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 ::std::result::Result::Ok({name}(::serde::Deserialize::from_value(value)?))\n\
-               }}\n\
-             }}"
+        Shape::TupleStruct { name, arity: 1 } => (
+            name,
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__d)?))"),
         ),
-        Shape::TupleStruct { name, arity } => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                   fn from_value(value: &::serde::Value) \
-                     -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                     let items = value.as_seq().ok_or_else(|| \
-                       ::serde::DeError::custom(\"expected sequence for `{name}`\"))?;\n\
-                     if items.len() != {arity} {{\n\
-                       return ::std::result::Result::Err(::serde::DeError::custom(\
-                         \"wrong tuple arity for `{name}`\"));\n\
-                     }}\n\
-                     ::std::result::Result::Ok({name}({}))\n\
-                   }}\n\
-                 }}",
-                items.join(", ")
-            )
-        }
-        Shape::UnitStruct { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-               fn from_value(_value: &::serde::Value) \
-                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 ::std::result::Result::Ok({name})\n\
-               }}\n\
-             }}"
+        Shape::TupleStruct { name, arity } => (name, deserialize_tuple(name, *arity)),
+        Shape::UnitStruct { name } => (
+            name,
+            format!("::serde::Deserializer::skip(__d)?; ::std::result::Result::Ok({name})"),
         ),
         Shape::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
+            let list: Vec<String> = variants
                 .iter()
-                .filter(|(_, arity)| *arity == 0)
-                .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
+                .map(|(v, arity)| format!("(\"{v}\", {})", *arity > 0))
                 .collect();
-            let data_arms: Vec<String> = variants
+            let arms: Vec<String> = variants
                 .iter()
-                .filter(|(_, arity)| *arity > 0)
-                .map(|(v, arity)| {
-                    if *arity == 1 {
-                        format!(
-                            "\"{v}\" => ::std::result::Result::Ok({name}::{v}(\
-                               ::serde::Deserialize::from_value(payload)?)),"
-                        )
-                    } else {
-                        let items: Vec<String> = (0..*arity)
-                            .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                            .collect();
-                        format!(
-                            "\"{v}\" => {{\n\
-                               let items = payload.as_seq().ok_or_else(|| \
-                                 ::serde::DeError::custom(\"expected payload sequence\"))?;\n\
-                               if items.len() != {arity} {{\n\
-                                 return ::std::result::Result::Err(::serde::DeError::custom(\
-                                   \"wrong payload arity for `{name}::{v}`\"));\n\
-                               }}\n\
-                               ::std::result::Result::Ok({name}::{v}({}))\n\
-                             }}",
-                            items.join(", ")
-                        )
-                    }
+                .enumerate()
+                .map(|(i, (v, arity))| match arity {
+                    0 => format!("{i} => ::std::result::Result::Ok({name}::{v}),"),
+                    1 => format!(
+                        "{i} => ::std::result::Result::Ok(\
+                           {name}::{v}(::serde::Deserialize::deserialize(__d)?)),"
+                    ),
+                    n => format!("{i} => {},", deserialize_tuple(&format!("{name}::{v}"), *n)),
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                   fn from_value(value: &::serde::Value) \
-                     -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                     match value {{\n\
-                       ::serde::Value::Str(s) => match s.as_str() {{\n\
-                         {}\n\
-                         other => ::std::result::Result::Err(::serde::DeError::custom(\
-                           ::std::format!(\"unknown variant `{{other}}` of `{name}`\"))),\n\
-                       }},\n\
-                       ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-                         let (key, payload) = &entries[0];\n\
-                         match key.as_str().unwrap_or(\"\") {{\n\
-                           {}\n\
-                           other => ::std::result::Result::Err(::serde::DeError::custom(\
-                             ::std::format!(\"unknown variant `{{other}}` of `{name}`\"))),\n\
-                         }}\n\
-                       }}\n\
-                       other => ::std::result::Result::Err(::serde::DeError::custom(\
-                         ::std::format!(\"expected variant of `{name}`, got {{}}\", other.kind()))),\n\
-                     }}\n\
-                   }}\n\
-                 }}",
-                unit_arms.join("\n"),
-                data_arms.join("\n")
-            )
+            let body = format!(
+                "::serde::variant(__d, \"{name}\", &[{}], |__d, __i| match __i {{\n\
+                   {}\n\
+                   _ => ::std::unreachable!(),\n\
+                 }})",
+                list.join(", "),
+                arms.join("\n")
+            );
+            (name, body)
         }
     };
-    body.parse()
-        .expect("serde_derive generated invalid Deserialize impl")
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+           fn deserialize<__D: ::serde::Deserializer>(__d: &mut __D) \
+             -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+             {body}\n\
+           }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive generated invalid Deserialize impl")
+}
+
+/// An expression reading a sequence of exactly `arity` items into
+/// `ctor(..)`.
+fn deserialize_tuple(ctor: &str, arity: usize) -> String {
+    let items = vec!["::serde::element(__d)?"; arity];
+    format!(
+        "::serde::tuple(__d, |__d| ::std::result::Result::Ok({ctor}({})))",
+        items.join(", ")
+    )
 }
 
 // --- item parsing --------------------------------------------------------

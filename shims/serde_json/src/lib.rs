@@ -1,46 +1,27 @@
 //! Offline stand-in for `serde_json`: the serde shim's JSON format.
 //!
-//! Writing streams: [`to_string`] and [`to_string_pretty`] hand a JSON
-//! writer to the value's `Serialize::serialize`, and the writer appends
-//! text straight into its output string as the events arrive. Maps whose
-//! keys are all strings become JSON objects; maps with other keys
-//! (tuples, numbers, data-carrying enums, `None`) become arrays of
+//! Both directions stream. [`to_string`] and [`to_string_pretty`] hand a
+//! JSON writer to the value's `Serialize::serialize`, and the writer
+//! appends text straight into its output string as the events arrive.
+//! Maps whose keys are all strings become JSON objects; maps with other
+//! keys (tuples, numbers, data-carrying enums, `None`) become arrays of
 //! `[key, value]` pairs, which the serde shim's map deserializers accept
-//! symmetrically. Reading parses the text into the serde shim's `Value`
-//! tree and deserializes from that.
+//! symmetrically. [`from_str`] hands a parser over the text to the type's
+//! `Deserialize::deserialize`, which pulls one token after another out of
+//! it as its shape asks for them.
 
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
-use std::fmt::{self, Write as _};
+use serde::{DeError, Deserialize, Deserializer, Kind, Number, Serialize, Serializer};
+use std::fmt::Write as _;
 
-/// Deepest nesting of arrays and objects [`from_str`] accepts. The parser
-/// recurses once per level, so the bound keeps hostile input from
-/// exhausting the stack; the deepest type the workspace writes nests far
-/// less (the same default as serde_json).
+/// Deepest nesting of arrays and objects [`from_str`] accepts, counted on
+/// the containers open at once. Reading recurses once per open container,
+/// so the bound keeps hostile input from exhausting the stack; the deepest
+/// type the workspace writes nests far less (the same default as
+/// serde_json).
 pub const MAX_DEPTH: usize = 128;
 
-/// A JSON serialization or deserialization error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Error(String);
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Error {
-        Error::new(e.to_string())
-    }
-}
+/// A JSON error. Writing cannot fail, so every error comes from reading.
+pub type Error = DeError;
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
@@ -66,20 +47,17 @@ fn write<T: Serialize>(value: &T, pretty: bool) -> String {
 /// Deserializes a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
-        bytes: s.as_bytes(),
+        text: s,
         pos: 0,
         depth: 0,
+        first: false,
+        scratch: String::new(),
     };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at byte {}",
-            parser.pos
-        )));
+    let value = T::deserialize(&mut parser)?;
+    match parser.next_byte() {
+        Some(_) => Err(parser.error("trailing characters")),
+        None => Ok(value),
     }
-    Ok(T::from_value(&value)?)
 }
 
 // --- writer --------------------------------------------------------------
@@ -271,237 +249,248 @@ impl Serializer for Writer {
 
 // --- parser --------------------------------------------------------------
 
+/// The JSON reader behind [`from_str`]: a cursor over the text that hands
+/// out one event per call, so each token is checked as the value's type
+/// asks for it and nothing but that value is built.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
-    /// Arrays and objects open around `pos`.
+    /// Arrays and objects opened and not yet closed.
     depth: usize,
+    /// The innermost container was just opened: its first element or
+    /// entry takes no comma.
+    first: bool,
+    /// Where a string with escapes is decoded; reused across strings.
+    scratch: String,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+impl Parser<'_> {
+    /// An error at the current position.
+    fn error(&self, what: &str) -> DeError {
+        DeError::custom(format!("{what} at byte {}", self.pos))
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
+    /// The next byte after whitespace, not consumed.
+    fn next_byte(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
+        }
+        bytes.get(self.pos).copied()
+    }
+
+    /// Fails unless the next value is of kind `want`.
+    fn want(&mut self, want: Kind) -> Result<(), DeError> {
+        match self.peek()? {
+            got if got == want => Ok(()),
+            got => Err(self.error(&format!("expected {want:?}, got {got:?}"))),
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.nested(Parser::parse_array),
-            Some(b'{') => self.nested(Parser::parse_object),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => Err(Error::new(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
+    fn keyword(&mut self, word: &str) -> Result<(), DeError> {
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(self.error("invalid keyword"));
         }
+        self.pos += word.len();
+        Ok(())
     }
 
-    /// Parses an array or object one level deeper, failing past
-    /// [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+    /// Consumes the bracket that opens an array or object one level
+    /// deeper, failing past [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), DeError> {
         if self.depth == MAX_DEPTH {
-            return Err(Error::new(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.pos
-            )));
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
         }
+        self.pos += 1;
         self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
+        self.first = true;
+        Ok(())
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(Error::new(format!("invalid keyword at byte {}", self.pos)))
+    /// Moves to the next element or entry of the innermost container,
+    /// which `close` ends: past its comma and `true`, or past `close` and
+    /// `false`.
+    fn next_item(&mut self, close: u8) -> Result<bool, DeError> {
+        let b = self.next_byte();
+        if b == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.first = false;
+            return Ok(false);
         }
+        if self.first {
+            self.first = false;
+        } else if b == Some(b',') {
+            self.pos += 1;
+        } else {
+            return Err(self.error(&format!("expected `,` or `{}`", char::from(close))));
+        }
+        Ok(true)
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // reject them rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| Error::new("invalid \\u code point"))?;
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(Error::new(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )));
-                        }
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, DeError> {
+        let Some(&escape) = self.text.as_bytes().get(self.pos) else {
+            return Err(self.error("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match escape {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let mut code = self.hex4()?;
+                // Outside the Basic Multilingual Plane, UTF-16 escapes a
+                // character as a high surrogate followed by a low one. A
+                // surrogate in any other position is not a character.
+                if (0xD800..0xDC00).contains(&code)
+                    && self.text.as_bytes()[self.pos..].starts_with(b"\\u")
+                {
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                     }
                 }
-                _ => return Err(Error::new("unterminated string")),
+                char::from_u32(code).ok_or_else(|| self.error("invalid \\u code point"))?
             }
-        }
+            other => return Err(self.error(&format!("invalid escape `\\{}`", char::from(other)))),
+        })
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, DeError> {
+        let hex = self.text.get(self.pos..self.pos + 4);
+        let code = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+        let code = code.ok_or_else(|| self.error("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+}
+
+impl Deserializer for Parser<'_> {
+    fn peek(&mut self) -> Result<Kind, DeError> {
+        Ok(match self.next_byte() {
+            Some(b'n') => Kind::Null,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'"') => Kind::Str,
+            Some(b'[') => Kind::Seq,
+            Some(b'{') => Kind::Map,
+            Some(b'-' | b'0'..=b'9') => Kind::Number,
+            other => {
+                let other = other.map(char::from);
+                return Err(self.error(&format!("unexpected {other:?}")));
+            }
+        })
+    }
+
+    fn null(&mut self) -> Result<(), DeError> {
+        self.want(Kind::Null)?;
+        self.keyword("null")
+    }
+
+    fn bool(&mut self) -> Result<bool, DeError> {
+        self.want(Kind::Bool)?;
+        let v = self.text.as_bytes()[self.pos] == b't';
+        self.keyword(if v { "true" } else { "false" })?;
+        Ok(v)
+    }
+
+    fn number(&mut self) -> Result<Number, DeError> {
+        self.want(Kind::Number)?;
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if bytes[self.pos] == b'-' {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
+        while let Some(&b) = bytes.get(self.pos) {
             match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
                 _ => break,
             }
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::new(format!("invalid number `{text}`")))
+        let text = &self.text[start..self.pos];
+        let number = if is_float {
+            text.parse().ok().map(Number::Float)
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error::new(format!("invalid number `{text}`")))
+            text.parse().ok().map(Number::Int)
         } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| Error::new(format!("invalid number `{text}`")))
-        }
+            text.parse().ok().map(Number::UInt)
+        };
+        number.ok_or_else(|| self.error(&format!("invalid number `{text}`")))
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
+    fn str(&mut self) -> Result<&str, DeError> {
+        self.want(Kind::Str)?;
+        let text = self.text;
+        self.pos += 1;
+        let start = self.pos;
+        // Copy into the scratch buffer only once an escape turns up; the
+        // text of a string without one is handed out as it stands.
+        let mut copied = start;
+        self.scratch.clear();
         loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
+            match text.as_bytes().get(self.pos) {
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    self.scratch.push_str(&text[copied..self.pos]);
                     self.pos += 1;
-                    return Ok(Value::Seq(items));
+                    let c = self.escape()?;
+                    self.scratch.push(c);
+                    copied = self.pos;
                 }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
+                Some(_) => self.pos += 1,
+                None => return Err(self.error("unterminated string")),
             }
         }
+        let rest = &text[copied..self.pos];
+        self.pos += 1;
+        if copied == start {
+            return Ok(rest);
+        }
+        self.scratch.push_str(rest);
+        Ok(&self.scratch)
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
+    fn begin_seq(&mut self) -> Result<(), DeError> {
+        self.want(Kind::Seq)?;
+        self.open()
+    }
+
+    fn element(&mut self) -> Result<bool, DeError> {
+        self.next_item(b']')
+    }
+
+    fn begin_map(&mut self) -> Result<(), DeError> {
+        self.want(Kind::Map)?;
+        self.open()
+    }
+
+    fn key(&mut self) -> Result<bool, DeError> {
+        let more = self.next_item(b'}')?;
+        if more && self.next_byte() != Some(b'"') {
+            return Err(self.error("expected a string key"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((Value::Str(key), value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
+        Ok(more)
+    }
+
+    fn value(&mut self) -> Result<(), DeError> {
+        if self.next_byte() != Some(b':') {
+            return Err(self.error("expected `:`"));
         }
+        self.pos += 1;
+        Ok(())
     }
 }
 
@@ -562,8 +551,8 @@ mod tests {
     struct Any;
 
     impl Deserialize for Any {
-        fn from_value(_: &Value) -> Result<Any, DeError> {
-            Ok(Any)
+        fn deserialize<D: Deserializer>(d: &mut D) -> Result<Any, DeError> {
+            d.skip().map(|()| Any)
         }
     }
 
@@ -589,5 +578,122 @@ mod tests {
         assert!(from_str::<u32>("1 trailing").is_err());
         assert!(from_str::<Vec<u32>>("[1,").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    struct Point {
+        x: u8,
+        y: Option<i32>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    enum Shape {
+        Empty,
+        Dot(Point),
+        Line(Point, Point),
+    }
+
+    #[test]
+    fn struct_fields_arrive_in_any_order() {
+        let p = Point { x: 1, y: Some(-2) };
+        assert_eq!(from_str::<Point>(r#"{"x":1,"y":-2}"#).unwrap(), p);
+        assert_eq!(from_str::<Point>(r#" { "y" : -2 , "x" : 1 } "#).unwrap(), p);
+    }
+
+    #[test]
+    fn unknown_fields_are_skipped() {
+        let json = r#"{"w":{"a":[1,-2.5e3,"\u00e9",null,true,[[]]]},"x":1,"z":"","y":null}"#;
+        assert_eq!(from_str::<Point>(json).unwrap(), Point { x: 1, y: None });
+        // Skipped text is still checked: it must be well-formed JSON.
+        assert!(from_str::<Point>(r#"{"w":[1,],"x":1,"y":null}"#).is_err());
+        assert!(from_str::<Point>(r#"{"w":99999999999999999999,"x":1,"y":null}"#).is_err());
+    }
+
+    #[test]
+    fn a_repeated_field_keeps_its_first_value() {
+        let json = r#"{"x":1,"y":2,"x":"not a u8","y":null}"#;
+        assert_eq!(from_str::<Point>(json).unwrap(), Point { x: 1, y: Some(2) });
+    }
+
+    #[test]
+    fn enums_read_unit_and_data_variants() {
+        assert_eq!(from_str::<Shape>(r#""Empty""#).unwrap(), Shape::Empty);
+        let dot = r#"{"Dot":{"x":3,"y":null}}"#;
+        assert_eq!(
+            from_str::<Shape>(dot).unwrap(),
+            Shape::Dot(Point { x: 3, y: None })
+        );
+        let line = r#"{"Line":[{"x":0,"y":0},{"x":1,"y":1}]}"#;
+        assert!(matches!(from_str::<Shape>(line), Ok(Shape::Line(..))));
+        // A unit variant is not an object key, a data variant not a string.
+        assert!(from_str::<Shape>(r#"{"Empty":null}"#).is_err());
+        assert!(from_str::<Shape>(r#""Dot""#).is_err());
+        assert!(from_str::<Shape>(r#""Square""#).is_err());
+        assert!(from_str::<Shape>("{}").is_err());
+    }
+
+    #[test]
+    fn rejects_shape_mismatches() {
+        let bad = [
+            // a missing field, also of an optional type
+            r#"{"x":1}"#,
+            // a float for an integer
+            r#"{"x":1.0,"y":null}"#,
+            // an out-of-range integer
+            r#"{"x":256,"y":null}"#,
+            r#"{"x":-1,"y":null}"#,
+            // a struct written as a pairs array
+            r#"[["x",1],["y",null]]"#,
+            // a non-string key
+            r#"{1:1}"#,
+            // trailing characters
+            r#"{"x":1,"y":null} {}"#,
+        ];
+        for json in bad {
+            assert!(from_str::<Point>(json).is_err(), "{json}");
+        }
+        // an enum object with two entries
+        let two = r#"{"Dot":{"x":3,"y":null},"Empty":null}"#;
+        assert!(from_str::<Shape>(two).is_err());
+        // a tuple that is too long or too short
+        let p = r#"{"x":0,"y":0}"#;
+        assert!(from_str::<Shape>(&format!(r#"{{"Line":[{p},{p},{p}]}}"#)).is_err());
+        assert!(from_str::<Shape>(&format!(r#"{{"Line":[{p}]}}"#)).is_err());
+        assert!(from_str::<(u8, u8)>("[1,2,3]").is_err());
+        assert!(from_str::<(u8, u8)>("[1]").is_err());
+        assert_eq!(from_str::<(u8, u8)>("[1,2]").unwrap(), (1, 2));
+    }
+
+    #[test]
+    fn maps_read_objects_and_pairs() {
+        let object: BTreeMap<String, u8> = from_str(r#"{"a":1,"b":2}"#).unwrap();
+        let pairs: BTreeMap<String, u8> = from_str(r#"[["a",1],["b",2]]"#).unwrap();
+        assert_eq!(object, pairs);
+        assert!(from_str::<BTreeMap<String, u8>>(r#"[["a",1,2]]"#).is_err());
+        assert!(from_str::<BTreeMap<String, u8>>(r#"[["a"]]"#).is_err());
+        // Of a repeated key, the last value wins.
+        let last: BTreeMap<String, u8> = from_str(r#"{"a":1,"a":2}"#).unwrap();
+        assert_eq!(last["a"], 2);
+    }
+
+    #[test]
+    fn surrogate_pairs_join_into_one_char() {
+        let s: String = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(s, "\u{1F600}");
+        let s: String = from_str(r#""a\uD834\uDD1Eb""#).unwrap();
+        assert_eq!(s, "a\u{1D11E}b");
+    }
+
+    #[test]
+    fn lone_or_reversed_surrogates_are_rejected() {
+        for json in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            assert!(from_str::<String>(json).is_err(), "{json}");
+        }
     }
 }

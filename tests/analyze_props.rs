@@ -26,6 +26,7 @@ use coma::core::{
 use coma::graph::PathSet;
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
 use coma_bench::workload::{generate_task, WorkloadShape, WorkloadSpec};
+use std::sync::PoisonError;
 
 /// Register the counting allocator so [`measure_peak`] reports real
 /// numbers (without it every window reads 0 and the peak-bound property
@@ -35,7 +36,8 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// `measure_peak` windows must not overlap across threads, and the test
 /// harness runs sibling `#[test]`s concurrently — every test holding a
-/// window takes this lock first.
+/// window takes this lock first. A test that fails while holding it
+/// poisons it; the others take it anyway, so each reports its own result.
 static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// One analyzed-then-executed configuration point.
@@ -108,7 +110,7 @@ fn assert_sound(which: &str, run: &Executed) {
 /// harness runs sibling tests concurrently.
 #[test]
 fn predictions_agree_with_execution_across_workloads_and_configs() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let specs = [
         WorkloadSpec::new(WorkloadShape::Star, 160, 11),
         WorkloadSpec::new(WorkloadShape::Deep, 200, 23),
@@ -178,7 +180,7 @@ fn predictions_agree_with_execution_across_workloads_and_configs() {
 /// must stay under the single-execution bound plus nothing.
 #[test]
 fn peak_bound_covers_repeated_execution() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let spec = WorkloadSpec::new(WorkloadShape::Deep, 200, 5);
     let (source, target) = generate_task(&spec);
     let coma = Coma::new();
@@ -212,7 +214,7 @@ fn peak_bound_covers_repeated_execution() {
 /// refine leaf (it computes, shards and masks the full `Leaves` matrix).
 #[test]
 fn shard_estimates_bound_executed_shards() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let specs = [
         WorkloadSpec::new(WorkloadShape::Star, 160, 11),
         WorkloadSpec::new(WorkloadShape::Deep, 200, 23),

@@ -1,51 +1,16 @@
 //! Shared helpers for the COMA benchmark and experiment binaries.
 //!
 //! The binaries in `src/bin/` regenerate the tables and figures of the
-//! paper's evaluation (Section 7); the Criterion benches in `benches/`
-//! measure the performance of the substrates and the match pipeline.
-//! [`workload`] generates deterministic synthetic large-schema match
-//! tasks (star/deep/wide/catalog shapes, 500–5000 nodes) for the plan engine's
-//! sparse-path benchmarks and the CI perf-smoke gate; [`alloc_track`]
-//! provides the counting global allocator `perf_smoke` uses to compare
-//! peak allocations of dense vs sparse similarity storage.
+//! paper's evaluation (Section 7), and `perf_smoke` is the CI
+//! performance gate. [`workload`] generates deterministic synthetic
+//! large-schema match tasks (star/deep/wide/catalog shapes, 1000 to
+//! 100000 nodes in the gate's suite) for the plan engine's sparse-path
+//! measurements and the gate; [`alloc_track`] provides the counting
+//! global allocator `perf_smoke` uses to compare peak allocations of
+//! dense vs sparse similarity storage.
 //!
-//! The staged plans themselves live in [`coma_core::plans`] (shared with
-//! the CLI and the server's wire-level plan specs); the wrappers here
-//! pin the parameter values (`k = 5`, retrieval cap 5) the benchmarks
-//! and the CI gate have always used, so the numbers stay comparable
-//! across baselines.
+//! The staged plans the gate measures live in [`coma_core::plans`],
+//! shared with the CLI and the server's wire-level plan specs.
 
 pub mod alloc_track;
 pub mod workload;
-
-use coma_core::MatchPlan;
-
-/// [`coma_core::plans::topk_pruned_plan`] at the benchmark budget `k = 5`.
-pub fn topk_pruned_plan() -> MatchPlan {
-    coma_core::plans::topk_pruned_plan(5)
-}
-
-/// [`coma_core::plans::liberal_name_stage`], standalone: the dense
-/// first stage the row-sharded execution timings target.
-pub fn liberal_name_stage() -> MatchPlan {
-    coma_core::plans::liberal_name_stage()
-}
-
-/// [`coma_core::plans::candidate_index_plan`] at the benchmark
-/// retrieval cap of 5 candidates per element.
-pub fn candidate_index_plan() -> MatchPlan {
-    coma_core::plans::candidate_index_plan(5)
-}
-
-/// [`coma_core::plans::candidate_index_stage`] at the benchmark
-/// retrieval cap of 5 — exactly the candidate set the perf gate's
-/// recall check scores against the exact prefilter.
-pub fn candidate_index_stage() -> MatchPlan {
-    coma_core::plans::candidate_index_stage(5)
-}
-
-/// [`coma_core::plans::fused_filter_plan`]: the streaming-fused pruning
-/// plan the `deep100000` memory ceiling is measured on.
-pub fn fused_filter_plan() -> MatchPlan {
-    coma_core::plans::fused_filter_plan()
-}

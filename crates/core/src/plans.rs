@@ -11,12 +11,7 @@ use crate::process::MatchStrategy;
 /// for: a liberal `Name` stage pruned to the `k` best candidates per
 /// element, then the paper-default `All` refine on the survivors.
 pub fn topk_pruned_plan(k: usize) -> MatchPlan {
-    MatchPlan::seq(
-        liberal_name_stage()
-            .top_k(k, TopKPer::Both)
-            .expect("k > 0 by construction"),
-        MatchPlan::from(&MatchStrategy::paper_default()),
-    )
+    validated(topk_pruned_plan_raw(k))
 }
 
 /// The liberal `Name` first stage of [`topk_pruned_plan`], standalone:
@@ -35,10 +30,7 @@ pub fn liberal_name_stage() -> MatchPlan {
 /// pruned to the same per-element budget, then the paper-default `All`
 /// refine on the survivors. No stage ever scores the m×n cross product.
 pub fn candidate_index_plan(cap: usize) -> MatchPlan {
-    MatchPlan::seq(
-        candidate_index_stage(cap),
-        MatchPlan::from(&MatchStrategy::paper_default()),
-    )
+    validated(candidate_index_plan_raw(cap))
 }
 
 /// The first stage of [`candidate_index_plan`], standalone: inverted-
@@ -48,12 +40,7 @@ pub fn candidate_index_plan(cap: usize) -> MatchPlan {
 /// the perf gate's recall check scores this stage against the exact
 /// prefilter.
 pub fn candidate_index_stage(cap: usize) -> MatchPlan {
-    MatchPlan::seq(
-        MatchPlan::candidate_index_with(1, 0.0, 3, Some(cap)).expect("valid parameters"),
-        liberal_name_stage()
-            .top_k(cap, TopKPer::Both)
-            .expect("cap > 0 by construction"),
-    )
+    validated(candidate_index_stage_raw(cap))
 }
 
 /// Like [`topk_pruned_plan`], but skipping constructor validation:
@@ -62,14 +49,7 @@ pub fn candidate_index_stage(cap: usize) -> MatchPlan {
 /// real node paths (`Seq[0].TopK`) instead of a constructor error losing
 /// the position. Never execute an unvalidated plan directly.
 pub fn topk_pruned_plan_raw(k: usize) -> MatchPlan {
-    MatchPlan::seq(
-        MatchPlan::TopK {
-            input: Box::new(liberal_name_stage()),
-            k,
-            per: TopKPer::Both,
-        },
-        MatchPlan::from(&MatchStrategy::paper_default()),
-    )
+    MatchPlan::seq(liberal_top_k(k), paper_default_refine())
 }
 
 /// Like [`candidate_index_plan`], but skipping constructor validation —
@@ -77,22 +57,7 @@ pub fn topk_pruned_plan_raw(k: usize) -> MatchPlan {
 /// both a zero index cap (`Seq[0].Seq[0].CandidateIndex`) and a zero
 /// `TopK` (`Seq[0].Seq[1].TopK`).
 pub fn candidate_index_plan_raw(cap: usize) -> MatchPlan {
-    MatchPlan::seq(
-        MatchPlan::seq(
-            MatchPlan::CandidateIndex {
-                min_shared_tokens: 1,
-                min_score: 0.0,
-                q: 3,
-                per_element: Some(cap),
-            },
-            MatchPlan::TopK {
-                input: Box::new(liberal_name_stage()),
-                k: cap,
-                per: TopKPer::Both,
-            },
-        ),
-        MatchPlan::from(&MatchStrategy::paper_default()),
-    )
+    MatchPlan::seq(candidate_index_stage_raw(cap), paper_default_refine())
 }
 
 /// The streaming-fused pruning plan large-task memory ceilings are
@@ -102,10 +67,39 @@ pub fn candidate_index_plan_raw(cap: usize) -> MatchPlan {
 /// deliberately: `TopK` materializes an `m × n` pair-mask bitset, which
 /// at 100k × 100k would itself be > 1 GiB.
 pub fn fused_filter_plan() -> MatchPlan {
-    let mut liberal = CombinationStrategy::paper_default();
-    liberal.selection = Selection::max_n(10).with_threshold(0.3);
-    MatchPlan::matchers_with(["Name"], liberal)
-        .filtered(Direction::Both, Selection::max_n(5).with_threshold(0.3))
+    liberal_name_stage().filtered(Direction::Both, Selection::max_n(5).with_threshold(0.3))
+}
+
+/// [`candidate_index_stage`] without constructor validation.
+fn candidate_index_stage_raw(cap: usize) -> MatchPlan {
+    let retrieve = MatchPlan::CandidateIndex {
+        min_shared_tokens: 1,
+        min_score: 0.0,
+        q: 3,
+        per_element: Some(cap),
+    };
+    MatchPlan::seq(retrieve, liberal_top_k(cap))
+}
+
+/// The liberal `Name` stage pruned to its `k` best per element, built
+/// without rejecting `k == 0`.
+fn liberal_top_k(k: usize) -> MatchPlan {
+    MatchPlan::TopK {
+        input: Box::new(liberal_name_stage()),
+        k,
+        per: TopKPer::Both,
+    }
+}
+
+fn paper_default_refine() -> MatchPlan {
+    MatchPlan::from(&MatchStrategy::paper_default())
+}
+
+/// A canonical plan after its shape validation: the validated
+/// constructors accept only positive budgets.
+fn validated(plan: MatchPlan) -> MatchPlan {
+    plan.validate_shape().expect("budget > 0 by construction");
+    plan
 }
 
 #[cfg(test)]
@@ -123,6 +117,23 @@ mod tests {
             fused_filter_plan(),
         ] {
             plan.validate(&lib).unwrap();
+        }
+    }
+
+    #[test]
+    fn validated_plans_are_their_raw_twins() {
+        let refine = || MatchPlan::from(&MatchStrategy::paper_default());
+        for k in 1..=8 {
+            assert_eq!(topk_pruned_plan(k), topk_pruned_plan_raw(k));
+            assert_eq!(candidate_index_plan(k), candidate_index_plan_raw(k));
+            // The shapes the builder API constructs, node for node.
+            let pruned = liberal_name_stage().top_k(k, TopKPer::Both).unwrap();
+            assert_eq!(topk_pruned_plan(k), MatchPlan::seq(pruned, refine()));
+            let retrieve = MatchPlan::candidate_index_with(1, 0.0, 3, Some(k)).unwrap();
+            let rerank = liberal_name_stage().top_k(k, TopKPer::Both).unwrap();
+            assert_eq!(candidate_index_stage(k), MatchPlan::seq(retrieve, rerank));
+            let plan = MatchPlan::seq(candidate_index_stage(k), refine());
+            assert_eq!(candidate_index_plan(k), plan);
         }
     }
 

@@ -66,6 +66,11 @@
 //! — the acceptance criterion of the sparse-storage refactor. Absolute
 //! peaks are not gated across runs, because leaf fan-out parallelism
 //! makes them (mildly) machine-dependent; only the ratio is (see above).
+//!
+//! A failing in-process gate does not stop the suite: it is recorded,
+//! the remaining measurements run, the report is written with every
+//! entry measured, and the run then prints every failure (in-process and
+//! `--check`) and exits 1.
 
 use coma_bench::alloc_track;
 use coma_bench::workload::{generate_family, generate_task, WorkloadShape, WorkloadSpec};
@@ -268,7 +273,8 @@ enum Suite {
 }
 
 /// A measurement on a generated [`Workload`]: it appends its entries to
-/// the report and fails the run when one of its in-process gates does.
+/// the report and returns an error when one of its in-process gates
+/// fails, which the run records before going on.
 type Measure = fn(&Coma, &Workload, &mut BenchReport) -> Result<(), String>;
 
 /// One row of [`WORKLOADS`]: a shape and node count (seed 42), how the
@@ -937,12 +943,6 @@ fn index_race(coma: &Coma, w: &Workload, report: &mut BenchReport) -> Result<(),
         exact.result.len(),
         cidx.result.len(),
     );
-    if cidx_ms >= exact_ms {
-        return Err(format!(
-            "{label}: the candidate-index plan ({cidx_ms:.0} ms) did not beat the exact \
-             two-stage plan ({exact_ms:.0} ms)"
-        ));
-    }
     for (plan, ms, outcome) in [("exact", exact_ms, exact), ("cidx", cidx_ms, cidx)] {
         report.task(
             format!("{label}_plan_{plan}"),
@@ -951,6 +951,12 @@ fn index_race(coma: &Coma, w: &Workload, report: &mut BenchReport) -> Result<(),
         );
     }
     report.speedup(format!("{label}_plan"), speedup);
+    if cidx_ms >= exact_ms {
+        return Err(format!(
+            "{label}: the candidate-index plan ({cidx_ms:.0} ms) did not beat the exact \
+             two-stage plan ({exact_ms:.0} ms)"
+        ));
+    }
     Ok(())
 }
 
@@ -1244,10 +1250,26 @@ fn service_throughput() -> Result<Vec<ThroughputEntry>, String> {
     result
 }
 
+/// The in-process gate failures of a run. A measurement that fails (or
+/// cannot run) is recorded here and the suite goes on, so one noisy race
+/// cannot discard the measurements before it or skip those after it.
+#[derive(Debug, Default)]
+struct Failures(Vec<String>);
+
+impl Failures {
+    fn record(&mut self, outcome: Result<(), String>) {
+        if let Err(e) = outcome {
+            eprintln!("# FAILED (the suite goes on): {e}");
+            self.0.push(e);
+        }
+    }
+}
+
 /// Runs the suite in report order: calibration, the evaluation corpus,
 /// the [`WORKLOADS`] rows the mode selects, the repository and the
-/// service.
-fn measure(quick: bool) -> Result<BenchReport, String> {
+/// service. Returns the report of everything measured and every
+/// in-process gate that failed.
+fn measure(quick: bool) -> (BenchReport, Failures) {
     eprintln!("# calibrating …");
     let mut report = BenchReport {
         version: 5,
@@ -1257,20 +1279,40 @@ fn measure(quick: bool) -> Result<BenchReport, String> {
     eprintln!("# calibration: {:.1} ms", report.calibration_ms);
     let corpus = Corpus::load();
     let coma = Coma::new();
-    measure_corpus(&corpus, &coma, &mut report)?;
-    for row in &WORKLOADS {
+    let mut failures = Failures::default();
+    failures.record(measure_corpus(&corpus, &coma, &mut report));
+    measure_rows(&coma, &WORKLOADS, quick, &mut report, &mut failures);
+    failures.record(measure_repository(&corpus, &mut report));
+    match service_throughput() {
+        Ok(throughput) => report.throughput = throughput,
+        Err(e) => failures.record(Err(e)),
+    }
+    (report, failures)
+}
+
+/// Generates each row `quick` selects and runs its measurements on it,
+/// recording each failure and going on.
+fn measure_rows(
+    coma: &Coma,
+    rows: &[Row],
+    quick: bool,
+    report: &mut BenchReport,
+    failures: &mut Failures,
+) {
+    for row in rows {
         let &Row(.., suite, measures) = row;
         if quick && suite == Full {
             continue;
         }
-        let workload = Workload::generate(row)?;
-        for measure in measures {
-            measure(&coma, &workload, &mut report)?;
+        match Workload::generate(row) {
+            Ok(workload) => {
+                for measure in measures {
+                    failures.record(measure(coma, &workload, report));
+                }
+            }
+            Err(e) => failures.record(Err(e)),
         }
     }
-    measure_repository(&corpus, &mut report)?;
-    report.throughput = service_throughput()?;
-    Ok(report)
 }
 
 /// Compares a fresh report against the committed baseline. Returns the
@@ -1613,7 +1655,8 @@ fn merge_brackets(mut a: BenchReport, b: BenchReport) -> BenchReport {
 /// refreshed, and the gate compares against the numbers as committed.
 /// A calibrated baseline brackets the measurement: it is built first,
 /// then run once before and once after it, and the wall-clock rules gate
-/// on the lenient merge of the two runs.
+/// on the lenient merge of the two runs. The report is written even when
+/// an in-process gate failed; the run then fails with every failure.
 fn run(opts: &Options) -> Result<(), String> {
     let baseline = match &opts.check {
         Some(path) => Some(read_report(Path::new(path))?),
@@ -1628,31 +1671,37 @@ fn run(opts: &Options) -> Result<(), String> {
         None => Ok(None),
     };
     let before = bracket(1)?;
-    let report = measure(opts.quick)?;
-    let calibrated = before.zip(bracket(2)?).map(|(a, b)| merge_brackets(a, b));
+    let (report, Failures(mut failures)) = measure(opts.quick);
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&opts.out, format!("{json}\n"))
         .map_err(|e| format!("cannot write {}: {e}", opts.out))?;
     eprintln!("# wrote {}", opts.out);
-
-    let (Some(baseline), Some(path)) = (&baseline, &opts.check) else {
-        return Ok(());
-    };
-    let failures = compare(&report, baseline, calibrated.as_ref());
-    if !failures.is_empty() {
-        return Err(format!(
-            "perf-smoke gate FAILED:\n  - {}",
-            failures.join("\n  - ")
-        ));
+    let calibrated = before.zip(bracket(2)?).map(|(a, b)| merge_brackets(a, b));
+    if let Some(baseline) = &baseline {
+        failures.extend(compare(&report, baseline, calibrated.as_ref()));
     }
-    match &opts.calibrate {
-        Some(spec) => eprintln!(
+    verdict(&failures)?;
+    match (&opts.check, &opts.calibrate) {
+        (Some(path), Some(spec)) => eprintln!(
             "# perf-smoke gate passed against {path} \
              (wall-clock rules vs the interleaved re-run of {spec})"
         ),
-        None => eprintln!("# perf-smoke gate passed against {path}"),
+        (Some(path), None) => eprintln!("# perf-smoke gate passed against {path}"),
+        (None, _) => {}
     }
     Ok(())
+}
+
+/// Fails the run, listing every failure, when any in-process or
+/// baseline gate failed.
+fn verdict(failures: &[String]) -> Result<(), String> {
+    if failures.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "perf-smoke gate FAILED:\n  - {}",
+        failures.join("\n  - ")
+    ))
 }
 
 /// Exits 0 when the run (and its gate) passed, 1 when it failed, and 2
@@ -1738,6 +1787,46 @@ mod tests {
             });
             self
         }
+    }
+
+    fn push_entry(_: &Coma, w: &Workload, report: &mut BenchReport) -> Result<(), String> {
+        report.task(format!("{}_entry", w.label), 1.0, 1);
+        Ok(())
+    }
+
+    fn fail_gate(_: &Coma, w: &Workload, _: &mut BenchReport) -> Result<(), String> {
+        Err(format!("{}: gate failed", w.label))
+    }
+
+    /// A failing in-process gate is recorded and the suite goes on: the
+    /// same row's later measurements and later rows still report, and the
+    /// run fails with the failure listed. Rows a quick run skips stay
+    /// skipped.
+    #[test]
+    fn a_failing_gate_keeps_later_entries_and_fails_the_run() {
+        let rows = [
+            Row(Deep, 40, Task, Quick, &[push_entry, fail_gate, push_entry]),
+            Row(Star, 40, Task, Full, &[push_entry]),
+            Row(Wide, 40, Task, Quick, &[fail_gate, push_entry]),
+        ];
+        let (coma, mut report, mut failures) = (Coma::new(), report(1.0), Failures::default());
+        measure_rows(&coma, &rows, true, &mut report, &mut failures);
+        let tasks: Vec<&str> = report.tasks.iter().map(|t| t.task.as_str()).collect();
+        assert_eq!(
+            tasks,
+            [
+                "gen/deep40#42_entry",
+                "gen/deep40#42_entry",
+                "gen/wide40#42_entry"
+            ]
+        );
+        assert_eq!(
+            failures.0,
+            ["gen/deep40#42: gate failed", "gen/wide40#42: gate failed"]
+        );
+        let message = verdict(&failures.0).unwrap_err();
+        assert!(failures.0.iter().all(|f| message.contains(f)), "{message}");
+        assert!(verdict(&[]).is_ok());
     }
 
     /// Asserts exactly one failure, mentioning `needle`.

@@ -67,8 +67,9 @@ use super::plan::{MatchPlan, TopKPer};
 use super::rules::{self, Unfusable};
 use super::EngineConfig;
 use crate::combine::{Direction, Selection};
-use crate::matchers::context::MatchContext;
+use crate::matchers::context::{Auxiliary, MatchContext};
 use crate::matchers::{Matcher, MatcherLibrary};
+use coma_graph::{PathSet, Schema};
 use std::fmt;
 use std::sync::Arc;
 
@@ -183,7 +184,8 @@ impl fmt::Display for Tri {
 /// Per-task schema statistics the analyzer predicts against: the match
 /// object sizes, vocabulary statistics (the same tokenization the
 /// [`VocabIndex`] applies), repository pivot availability, and pinned
-/// feedback. Build one with [`TaskStats::gather`]; `Default` is the
+/// feedback. Build one with [`TaskStats::gather`], or from two prepared
+/// [`SchemaStats`] with [`TaskStats::from_sides`]; `Default` is the
 /// empty task (useful for plan-shape-only analysis).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskStats {
@@ -232,37 +234,38 @@ impl TaskStats {
     /// than this are treated as unavailable.
     pub const PIVOT_PROBE_HOPS: usize = 4;
 
-    /// Gathers the statistics for one match task: side sizes and leaf
-    /// counts from the context, vocabulary statistics from a `q = 3`
-    /// [`VocabIndex`] probe per side (the exact tokenization the engine
-    /// indexes), and pivot availability from the attached repository (if
-    /// any), probing chains up to [`TaskStats::PIVOT_PROBE_HOPS`] hops.
+    /// Gathers the statistics for one match task: both sides'
+    /// [`SchemaStats`], paired by [`TaskStats::from_sides`].
     pub fn gather(ctx: &MatchContext<'_>) -> TaskStats {
-        let (m, n) = (ctx.rows(), ctx.cols());
-        let source = VocabIndex::build((0..m).map(|i| ctx.source_name(i)), ctx.aux, 3);
-        let target = VocabIndex::build((0..n).map(|j| ctx.target_name(j)), ctx.aux, 3);
-        let shared = source.tokens().filter(|t| target.has_token(t)).count();
-        let union = source.distinct_tokens() + target.distinct_tokens() - shared;
+        TaskStats::from_sides(
+            ctx,
+            &SchemaStats::of(ctx.source, ctx.source_paths, ctx.aux),
+            &SchemaStats::of(ctx.target, ctx.target_paths, ctx.aux),
+        )
+    }
+
+    /// Pairs two prepared sides of the task `ctx` describes (`source`
+    /// and `target` must be the [`SchemaStats`] of `ctx`'s two schemas
+    /// under `ctx`'s auxiliary tables) and adds the pair half: vocabulary
+    /// overlap, pinned feedback, and pivot availability from the attached
+    /// repository (if any), probing chains up to
+    /// [`TaskStats::PIVOT_PROBE_HOPS`] hops.
+    pub fn from_sides(
+        ctx: &MatchContext<'_>,
+        source: &SchemaStats,
+        target: &SchemaStats,
+    ) -> TaskStats {
+        debug_assert_eq!((source.paths, target.paths), (ctx.rows(), ctx.cols()));
+        let shared = source
+            .tokens
+            .iter()
+            .filter(|t| target.tokens.binary_search(t).is_ok())
+            .count();
+        let union = source.tokens.len() + target.tokens.len() - shared;
         let vocab_overlap = if union == 0 {
             0.0
         } else {
             shared as f64 / union as f64
-        };
-        let distinct = |names: &mut dyn Iterator<Item = &str>| {
-            let mut seen: Vec<&str> = names.collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len()
-        };
-        let (mut s_names, mut t_names) = (
-            (0..m).map(|i| ctx.source_name(i)),
-            (0..n).map(|j| ctx.target_name(j)),
-        );
-        let leaves = |schema: &coma_graph::Schema, paths: &coma_graph::PathSet| {
-            paths
-                .iter()
-                .filter(|&id| schema.is_leaf(paths.node_of(id)))
-                .count()
         };
         let (min_pivot_hops, repo_correspondences) = match ctx.repository {
             Some(repo) => {
@@ -283,18 +286,18 @@ impl TaskStats {
             None => (None, 0),
         };
         TaskStats {
-            rows: m,
-            cols: n,
-            source_leaves: leaves(ctx.source, ctx.source_paths),
-            target_leaves: leaves(ctx.target, ctx.target_paths),
-            source_leafset_ids: leafset_id_total(ctx.source_paths),
-            target_leafset_ids: leafset_id_total(ctx.target_paths),
-            source_distinct_names: distinct(&mut s_names),
-            target_distinct_names: distinct(&mut t_names),
-            source_tokens: source.distinct_tokens(),
-            target_tokens: target.distinct_tokens(),
-            token_postings: source.token_posting_entries() + target.token_posting_entries(),
-            gram_postings: source.gram_posting_entries() + target.gram_posting_entries(),
+            rows: source.paths,
+            cols: target.paths,
+            source_leaves: source.leaves,
+            target_leaves: target.leaves,
+            source_leafset_ids: source.leafset_ids,
+            target_leafset_ids: target.leafset_ids,
+            source_distinct_names: source.distinct_names,
+            target_distinct_names: target.distinct_names,
+            source_tokens: source.tokens.len(),
+            target_tokens: target.tokens.len(),
+            token_postings: source.token_postings + target.token_postings,
+            gram_postings: source.gram_postings + target.gram_postings,
             vocab_overlap,
             feedback_pins: ctx.aux.feedback.len(),
             min_pivot_hops,
@@ -305,6 +308,57 @@ impl TaskStats {
     /// The pair-space size `m · n`.
     pub fn cells(&self) -> u64 {
         (self.rows as u64).saturating_mul(self.cols as u64)
+    }
+}
+
+/// The schema-side half of [`TaskStats`]: everything it reads from one
+/// schema alone. It does not depend on the partner schema or on which
+/// side the schema is on, so a server prepares it once per stored schema
+/// and pairs it per request with [`TaskStats::from_sides`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchemaStats {
+    /// Match objects (paths).
+    paths: usize,
+    /// Paths ending at a leaf node.
+    leaves: usize,
+    /// Σ_p |leaves_under(p)| (see [`TaskStats::source_leafset_ids`]).
+    leafset_ids: usize,
+    /// Distinct element names.
+    distinct_names: usize,
+    /// The distinct abbreviation-expanded tokens, sorted.
+    tokens: Vec<String>,
+    /// Token posting entries of the side's `q = 3` index.
+    token_postings: usize,
+    /// Q-gram posting entries of the side's `q = 3` index.
+    gram_postings: usize,
+}
+
+impl SchemaStats {
+    /// Gathers one side's statistics: path, leaf, leaf-set-id and
+    /// distinct-name counts, and the vocabulary of a `q = 3`
+    /// [`VocabIndex`] built over the side's element names (the exact
+    /// tokenization the engine indexes).
+    pub fn of(schema: &Schema, paths: &PathSet, aux: &Auxiliary) -> SchemaStats {
+        let mut names: Vec<&str> = paths.iter().map(|id| paths.name(schema, id)).collect();
+        let index = VocabIndex::build(names.iter().copied(), aux, 3);
+        let (token_postings, gram_postings) =
+            (index.token_posting_entries(), index.gram_posting_entries());
+        let mut tokens = index.into_tokens();
+        tokens.sort_unstable();
+        names.sort_unstable();
+        names.dedup();
+        SchemaStats {
+            paths: paths.len(),
+            leaves: paths
+                .iter()
+                .filter(|&id| schema.is_leaf(paths.node_of(id)))
+                .count(),
+            leafset_ids: leafset_id_total(paths),
+            distinct_names: names.len(),
+            tokens,
+            token_postings,
+            gram_postings,
+        }
     }
 }
 
@@ -515,7 +569,7 @@ pub fn human_bytes(bytes: u64) -> String {
 /// Σ_p |leaves_under(p)| over every path of one side, exactly — one
 /// O(paths) reverse preorder sweep (children always follow their parent
 /// in preorder), no expansion materialized.
-fn leafset_id_total(paths: &coma_graph::PathSet) -> usize {
+fn leafset_id_total(paths: &PathSet) -> usize {
     let order: Vec<_> = paths.iter().collect();
     let mut counts = vec![0usize; paths.len()];
     for &p in order.iter().rev() {
@@ -656,13 +710,18 @@ impl<'a> PlanAnalyzer<'a> {
                 .iter()
                 .filter_map(|f| f.warmth)
                 .fold((0, 0), |(w, t), (fw, ft)| (w + fw, t + ft));
+            let result = if cache.has_result((sfp, tfp), plan) {
+                "; this plan's final result cached"
+            } else {
+                ""
+            };
             walk.notes.push(PlanDiagnostic {
                 severity: Severity::Note,
                 code: "N_CACHE_WARMTH".to_string(),
                 node_path: plan.kind_name().to_string(),
                 message: format!(
                     "tenant cache: {warm}/{total} leaf artifacts warm for this schema pair \
-                     ({} matrices, {} indexes cached in scope)",
+                     ({} matrices, {} indexes cached in scope{result})",
                     warmth.matrices, warmth.indexes
                 ),
             });

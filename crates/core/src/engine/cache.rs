@@ -3,13 +3,22 @@
 //!
 //! A per-execution [`MatchMemo`](super::MatchMemo) already deduplicates
 //! work *within* one plan run; an [`EngineCache`] extends the same idea
-//! across runs, which is what a long-running matching service needs —
-//! repeat traffic against a hot schema pair should skip tokenization,
-//! matcher matrices and inverted-index construction entirely. The memo
-//! becomes a *view* over this cache: every memo is bound to one
-//! `Arc<EngineCache>` (its own private one by default, a shared one under
-//! [`PlanEngine::execute_cached`]), and its lookups read/write the cache
-//! directly.
+//! across runs, which is what a long-running matching service needs:
+//! repeat traffic against a hot schema pair reuses tokenizations, full
+//! matcher matrices, vocabulary indexes and, for a cacheable plan, the
+//! final result. The memo is a *view* over this cache: every memo is
+//! bound to one `Arc<EngineCache>` (its own private one by default, a
+//! shared one under [`MatchMemo::scoped`](super::MatchMemo::scoped)),
+//! and its lookups read/write the cache directly.
+//!
+//! What a repeat still computes depends on the plan. A streaming-fused
+//! stage never materializes (so never caches) a full matrix, and a
+//! refine matrix computed under a mask is not cached either; only the
+//! tokenizations and unmasked matrices around them are. The final
+//! result short-cuts all of it: [`PlanEngine::execute_result`] answers a
+//! plan the result-cache rule admits (no `Reuse` node, only
+//! [`Matcher::pure`] matchers) from an identical plan's result kept under
+//! the same pair scope, and executes nothing.
 //!
 //! Keying: artifacts that depend on a schema are keyed by its
 //! [`schema_fingerprint`] — a deterministic hash over the schema name and
@@ -19,7 +28,10 @@
 //! repository, hits the cache. Tokenizations are keyed by the element
 //! name itself (schema-independent); matcher matrices are keyed by
 //! (schema-pair scope, matcher name, matcher instance identity);
-//! vocabulary indexes by (schema fingerprint, gram length). No name-pair
+//! vocabulary indexes by (schema fingerprint, gram length); final results
+//! by (schema-pair scope, [`MatchPlan`] value compared with `==`). The
+//! engine configuration is not part of any key: results are bit-identical
+//! across dense, sparse, sharded and fused execution. No name-pair
 //! similarity is cached: the name-based matchers score every pair of a
 //! compute from a token table they build for that compute.
 //!
@@ -31,23 +43,29 @@
 //! reuse matchers, which consult the repository — report
 //! [`Matcher::pure`] `= false` and are kept out of the shared matrix
 //! store (they still share tokenizations, which only depend on
-//! strings).
+//! strings); a plan naming one keeps no result.
 //!
 //! Memory: matrix entries are the big artifacts, so they are bounded by
 //! a schema-pair scope cap (default [`EngineCache::DEFAULT_MAX_PAIRS`]):
 //! registering a scope beyond the cap evicts the least-recently-used
-//! pair's matrices, and any vocabulary index whose schema no longer
-//! appears in a live scope. The tokenization table is not evicted: it
-//! holds one entry per distinct element name the tenant has matched, so
-//! it grows with the tenant's vocabulary, not with traffic.
+//! pair's matrices and results, and any vocabulary index whose schema no
+//! longer appears in a live scope. Each scope keeps at most
+//! `RESULTS_PER_SCOPE` (4) final results, dropping its oldest first, so
+//! a client cycling through distinct plans cannot grow the cache. The
+//! tokenization table is not evicted: it holds one entry per distinct
+//! element name the tenant has matched, so it grows with the tenant's
+//! vocabulary, not with traffic.
 //!
-//! [`PlanEngine::execute_cached`]: super::PlanEngine::execute_cached
+//! [`PlanEngine::execute_result`]: super::PlanEngine::execute_result
+//! [`MatchPlan`]: super::MatchPlan
 //! [`Auxiliary`]: crate::Auxiliary
 //! [`MatcherLibrary`]: crate::MatcherLibrary
 //! [`Matcher::pure`]: crate::Matcher::pure
 
 use super::index::VocabIndex;
+use super::MatchPlan;
 use crate::cube::SimMatrix;
+use crate::result::MatchResult;
 use coma_graph::{PathSet, Schema};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -61,6 +79,17 @@ pub(crate) type PairScope = (u64, u64);
 
 type MatrixSlots = HashMap<(PairScope, String, usize), Arc<OnceLock<Arc<SimMatrix>>>>;
 type IndexSlots = HashMap<(u64, usize), Arc<OnceLock<Arc<VocabIndex>>>>;
+
+/// Final results one pair scope keeps at most; a new one beyond it
+/// replaces the scope's oldest.
+const RESULTS_PER_SCOPE: usize = 4;
+
+/// A live pair scope and the final results of the cacheable plans
+/// executed under it, oldest first.
+struct LiveScope {
+    pair: PairScope,
+    results: Vec<(MatchPlan, Arc<MatchResult>)>,
+}
 
 /// A content fingerprint of a schema as a match object: FNV-1a over the
 /// schema name and, for every path in DFS preorder, its full dotted name
@@ -128,6 +157,10 @@ pub struct CacheStats {
     pub index_hits: u64,
     /// Vocabulary-index lookups that had to build.
     pub index_misses: u64,
+    /// Cacheable plans answered from a kept final result.
+    pub result_hits: u64,
+    /// Cacheable plans that found no kept result and executed.
+    pub result_misses: u64,
     /// Distinct cached tokenizations (one per distinct element name).
     pub token_entries: u64,
     /// Live shared matrix entries.
@@ -148,7 +181,8 @@ pub struct ScopeWarmth {
 
 /// The shared cross-request cache (module docs above). Create one per
 /// (auxiliary configuration, matcher library) — e.g. per server tenant —
-/// and pass it to [`PlanEngine::execute_cached`] on every request.
+/// and pass it to [`PlanEngine::execute_cached`], or view it through
+/// [`MatchMemo::scoped`](super::MatchMemo::scoped), on every request.
 ///
 /// [`PlanEngine::execute_cached`]: super::PlanEngine::execute_cached
 pub struct EngineCache {
@@ -159,14 +193,17 @@ pub struct EngineCache {
     matrices: Mutex<MatrixSlots>,
     /// (schema fingerprint, gram length) → vocabulary inverted index.
     indexes: Mutex<IndexSlots>,
-    /// Pair scopes in least-recently-used order (front = coldest).
-    scopes: Mutex<VecDeque<PairScope>>,
+    /// Pair scopes in least-recently-used order (front = coldest), each
+    /// with its kept final results.
+    scopes: Mutex<VecDeque<LiveScope>>,
     /// Maximum live pair scopes before matrix eviction.
     max_pairs: usize,
     matrix_hits: AtomicU64,
     matrix_misses: AtomicU64,
     index_hits: AtomicU64,
     index_misses: AtomicU64,
+    result_hits: AtomicU64,
+    result_misses: AtomicU64,
 }
 
 impl EngineCache {
@@ -190,6 +227,8 @@ impl EngineCache {
             matrix_misses: AtomicU64::new(0),
             index_hits: AtomicU64::new(0),
             index_misses: AtomicU64::new(0),
+            result_hits: AtomicU64::new(0),
+            result_misses: AtomicU64::new(0),
         }
     }
 
@@ -200,6 +239,8 @@ impl EngineCache {
             matrix_misses: self.matrix_misses.load(Ordering::Relaxed),
             index_hits: self.index_hits.load(Ordering::Relaxed),
             index_misses: self.index_misses.load(Ordering::Relaxed),
+            result_hits: self.result_hits.load(Ordering::Relaxed),
+            result_misses: self.result_misses.load(Ordering::Relaxed),
             token_entries: self.token_sets.read().len() as u64,
             matrix_entries: self.matrices.lock().len() as u64,
             index_entries: self.indexes.lock().len() as u64,
@@ -239,21 +280,27 @@ impl EngineCache {
     }
 
     /// Marks a pair scope as most-recently used, evicting the coldest
-    /// scope's matrices (and orphaned indexes) beyond the capacity bound.
+    /// scope's matrices and results (and orphaned indexes) beyond the
+    /// capacity bound.
     pub(crate) fn register_scope(&self, scope: PairScope) {
         let evicted: Vec<PairScope> = {
             let mut scopes = self.scopes.lock();
-            if let Some(pos) = scopes.iter().position(|s| *s == scope) {
-                scopes.remove(pos);
-            }
-            scopes.push_back(scope);
+            let entry = scopes
+                .iter()
+                .position(|s| s.pair == scope)
+                .and_then(|pos| scopes.remove(pos))
+                .unwrap_or(LiveScope {
+                    pair: scope,
+                    results: Vec::new(),
+                });
+            scopes.push_back(entry);
             let excess = scopes.len().saturating_sub(self.max_pairs);
-            scopes.drain(..excess).collect()
+            scopes.drain(..excess).map(|s| s.pair).collect()
         };
         if evicted.is_empty() {
             return;
         }
-        let live: Vec<PairScope> = self.scopes.lock().iter().copied().collect();
+        let live: Vec<PairScope> = self.scopes.lock().iter().map(|s| s.pair).collect();
         self.matrices
             .lock()
             .retain(|(scope, _, _), _| !evicted.contains(scope));
@@ -261,6 +308,50 @@ impl EngineCache {
             live.iter().any(|(s, t)| s == fp || t == fp)
                 || !evicted.iter().any(|(s, t)| s == fp || t == fp)
         });
+    }
+
+    /// The final result kept for `plan` under `scope`, counting a hit or
+    /// a miss. Callers ask only for plans the result-cache rule admits.
+    pub(crate) fn result(&self, scope: PairScope, plan: &MatchPlan) -> Option<Arc<MatchResult>> {
+        let hit = self.kept_result(scope, plan);
+        let counter = match hit {
+            Some(_) => &self.result_hits,
+            None => &self.result_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Whether a final result is kept for `plan` under `scope`. Pure
+    /// query: counters and the LRU order are untouched.
+    pub(crate) fn has_result(&self, scope: PairScope, plan: &MatchPlan) -> bool {
+        self.kept_result(scope, plan).is_some()
+    }
+
+    fn kept_result(&self, scope: PairScope, plan: &MatchPlan) -> Option<Arc<MatchResult>> {
+        let scopes = self.scopes.lock();
+        let live = scopes.iter().find(|s| s.pair == scope)?;
+        live.results
+            .iter()
+            .find(|(kept, _)| kept == plan)
+            .map(|(_, result)| Arc::clone(result))
+    }
+
+    /// Keeps `plan`'s final `result` under `scope`, replacing the scope's
+    /// oldest result beyond [`RESULTS_PER_SCOPE`]. Nothing is kept for a
+    /// scope evicted since it was registered, or twice for one plan.
+    pub(crate) fn keep_result(&self, scope: PairScope, plan: &MatchPlan, result: Arc<MatchResult>) {
+        let mut scopes = self.scopes.lock();
+        let Some(live) = scopes.iter_mut().find(|s| s.pair == scope) else {
+            return;
+        };
+        if live.results.iter().any(|(kept, _)| kept == plan) {
+            return;
+        }
+        if live.results.len() == RESULTS_PER_SCOPE {
+            live.results.remove(0);
+        }
+        live.results.push((plan.clone(), result));
     }
 
     pub(crate) fn token_set(
@@ -473,6 +564,97 @@ mod tests {
             "repeat request must compute no new matrices"
         );
         assert!(after_second.matrix_hits > after_first.matrix_hits);
+    }
+
+    #[test]
+    fn results_leave_with_their_scope_and_stay_capped() {
+        use crate::engine::TopKPer;
+        let cache = EngineCache::with_capacity(2);
+        let result = Arc::new(MatchResult {
+            source_schema: "A".into(),
+            target_schema: "B".into(),
+            candidates: Vec::new(),
+            source_size: 0,
+            target_size: 0,
+            schema_similarity: None,
+        });
+        let plans: Vec<MatchPlan> = (1..=RESULTS_PER_SCOPE + 2)
+            .map(|k| {
+                MatchPlan::matchers(["Name"])
+                    .top_k(k, TopKPer::Both)
+                    .unwrap()
+            })
+            .collect();
+        let kept = |scope| plans.iter().filter(|p| cache.has_result(scope, p)).count();
+        cache.register_scope((1, 2));
+        for plan in &plans {
+            cache.keep_result((1, 2), plan, Arc::clone(&result));
+            assert!(kept((1, 2)) <= RESULTS_PER_SCOPE);
+        }
+        // The cap drops the oldest results first.
+        assert_eq!(kept((1, 2)), RESULTS_PER_SCOPE);
+        assert!(!cache.has_result((1, 2), &plans[0]));
+        assert!(cache.has_result((1, 2), &plans[RESULTS_PER_SCOPE + 1]));
+        // Nothing is kept under a scope that is not live.
+        cache.keep_result((7, 8), &plans[0], Arc::clone(&result));
+        assert_eq!(kept((7, 8)), 0);
+        // Evicting the scope drops its results; registering it again
+        // starts it empty.
+        cache.register_scope((3, 4));
+        cache.register_scope((5, 6));
+        assert_eq!(kept((1, 2)), 0);
+        cache.register_scope((1, 2));
+        assert_eq!(kept((1, 2)), 0);
+        // Only counted lookups move the counters.
+        assert!(cache.result((1, 2), &plans[0]).is_none());
+        cache.keep_result((1, 2), &plans[0], Arc::clone(&result));
+        let hit = cache.result((1, 2), &plans[0]).unwrap();
+        assert!(Arc::ptr_eq(&hit, &result));
+        let stats = cache.stats();
+        assert_eq!((stats.result_hits, stats.result_misses), (1, 1));
+    }
+
+    #[test]
+    fn execute_result_answers_a_repeat_without_executing() {
+        use crate::engine::{MatchMemo, PairMask, PlanEngine};
+        let library = crate::matchers::MatcherLibrary::standard();
+        let aux = crate::matchers::Auxiliary::standard();
+        let (s1, p1) = schema("PO1", &["shipTo", "billTo", "poNo", "city"]);
+        let (s2, p2) = schema("PO2", &["deliverTo", "invoiceTo", "orderNum", "town"]);
+        let ctx = crate::MatchContext::new(&s1, &s2, &p1, &p2, &aux);
+        let (f1, f2) = (schema_fingerprint(&s1, &p1), schema_fingerprint(&s2, &p2));
+        let plan = crate::plans::topk_pruned_plan(2);
+        let engine = PlanEngine::new(&library);
+        let cache = Arc::new(EngineCache::new());
+
+        let fresh = engine.execute(&ctx, &plan).unwrap().result;
+        let cold = engine
+            .execute_result(&ctx, &plan, &MatchMemo::scoped(&cache, f1, f2))
+            .unwrap();
+        assert_eq!(*cold, fresh);
+        let after_cold = cache.stats();
+        let warm = engine
+            .execute_result(&ctx, &plan, &MatchMemo::scoped(&cache, f1, f2))
+            .unwrap();
+        assert!(Arc::ptr_eq(&warm, &cold), "the repeat executed");
+        let after_warm = cache.stats();
+        assert_eq!(after_warm.result_hits, after_cold.result_hits + 1);
+        assert_eq!(
+            (after_warm.matrix_hits, after_warm.matrix_misses),
+            (after_cold.matrix_hits, after_cold.matrix_misses)
+        );
+
+        // A restricted context executes under its mask, past the cache.
+        let mask = PairMask::from_result(ctx.rows(), ctx.cols(), &fresh);
+        let restricted = ctx.with_restriction(&mask);
+        engine
+            .execute_result(&restricted, &plan, &MatchMemo::scoped(&cache, f1, f2))
+            .unwrap();
+        let after_masked = cache.stats();
+        assert_eq!(
+            (after_masked.result_hits, after_masked.result_misses),
+            (after_warm.result_hits, after_warm.result_misses)
+        );
     }
 
     #[test]

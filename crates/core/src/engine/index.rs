@@ -175,6 +175,12 @@ impl VocabIndex {
         self.token_ids.contains_key(token)
     }
 
+    /// The token arena, giving the index up: the distinct tokens in id
+    /// (first-use) order.
+    pub(crate) fn into_tokens(self) -> Vec<String> {
+        self.tokens
+    }
+
     fn token_id(&self, token: &str) -> Option<u32> {
         self.token_ids.get(token).copied()
     }

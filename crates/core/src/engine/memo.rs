@@ -20,15 +20,17 @@
 //!   structures behind `CandidateIndex` leaves, keyed by (side, gram
 //!   length) so repeated candidate stages build each index once.
 //!
-//! Since PR 8 the memo is a **view over an [`EngineCache`]**: by default
-//! ([`MatchMemo::new`]) the cache is private and dies with the memo —
-//! exactly the old per-execution behavior — but a memo bound to a shared
-//! cache ([`MatchMemo::scoped`], used by
-//! [`PlanEngine::execute_cached`](super::PlanEngine::execute_cached))
-//! reads and writes artifacts keyed by schema fingerprint, so repeat
-//! traffic against a hot schema pair skips recomputation across plan
-//! executions. Matrices of non-[`pure`](crate::Matcher::pure) matchers
-//! (the reuse matchers, which read the repository) stay in a
+//! The memo is a **view over an [`EngineCache`]**: by default
+//! ([`MatchMemo::new`]) the cache is private and dies with the memo, but
+//! a memo bound to a shared cache ([`MatchMemo::scoped`], used by
+//! [`PlanEngine::execute_cached`](super::PlanEngine::execute_cached) and
+//! by a server that computes each request's fingerprints once) reads and
+//! writes artifacts keyed by schema fingerprint, so repeat traffic
+//! against a hot schema pair reuses them across plan executions. Through
+//! the memo, [`PlanEngine::execute_result`](super::PlanEngine::execute_result)
+//! also keeps and finds the final result of a cacheable plan under the
+//! memo's pair scope. Matrices of non-[`pure`](crate::Matcher::pure)
+//! matchers (the reuse matchers, which read the repository) stay in a
 //! memo-local store either way, so mutable state never leaks into the
 //! shared cache.
 //!
@@ -47,8 +49,10 @@
 
 use super::cache::{private_scope, EngineCache, PairScope};
 use super::index::VocabIndex;
+use super::MatchPlan;
 use crate::cube::SimMatrix;
 use crate::matchers::Matcher;
+use crate::result::MatchResult;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -158,6 +162,17 @@ impl MatchMemo {
             return Some(hit);
         }
         self.cache.cached_matrix(self.scope, name, identity)
+    }
+
+    /// The final result kept for `plan` under this memo's pair scope
+    /// (see [`EngineCache`]), counting a result hit or miss.
+    pub(crate) fn cached_result(&self, plan: &MatchPlan) -> Option<Arc<MatchResult>> {
+        self.cache.result(self.scope, plan)
+    }
+
+    /// Keeps `plan`'s final result under this memo's pair scope.
+    pub(crate) fn keep_result(&self, plan: &MatchPlan, result: Arc<MatchResult>) {
+        self.cache.keep_result(self.scope, plan, result);
     }
 
     /// The vocabulary inverted index of one schema side (`target_side`

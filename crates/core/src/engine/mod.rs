@@ -114,7 +114,8 @@ mod plan;
 mod rules;
 
 pub use analyze::{
-    human_bytes, NodeFacts, PlanAnalysis, PlanAnalyzer, PlanDiagnostic, Severity, TaskStats, Tri,
+    human_bytes, NodeFacts, PlanAnalysis, PlanAnalyzer, PlanDiagnostic, SchemaStats, Severity,
+    TaskStats, Tri,
 };
 pub use cache::{schema_fingerprint, CacheStats, EngineCache, ScopeWarmth};
 pub use index::{CandidateParams, CandidateScorer, IndexStats, VocabIndex};
@@ -448,9 +449,35 @@ impl<'l> PlanEngine<'l> {
         self.execute_with_memo(ctx, plan, &memo)
     }
 
+    /// Executes a plan for its final result alone, with an explicit
+    /// memo. A plan the result-cache rule admits (no `Reuse` node, only
+    /// [`Matcher::pure`] matchers), on a context without a restriction,
+    /// is answered from an identical plan's result kept under the memo's
+    /// pair scope without executing anything; otherwise it executes
+    /// through [`PlanEngine::execute_with_memo`] and, if cacheable,
+    /// leaves its result there for the next repeat. Stage outcomes are
+    /// not kept: a caller that reads them executes instead.
+    pub fn execute_result(
+        &self,
+        ctx: &MatchContext<'_>,
+        plan: &MatchPlan,
+        memo: &MatchMemo,
+    ) -> Result<Arc<MatchResult>> {
+        if ctx.restriction.is_some() || !rules::result_cacheable(self.library, plan) {
+            return Ok(Arc::new(self.execute_with_memo(ctx, plan, memo)?.result));
+        }
+        if let Some(kept) = memo.cached_result(plan) {
+            return Ok(kept);
+        }
+        let result = Arc::new(self.execute_with_memo(ctx, plan, memo)?.result);
+        memo.keep_result(plan, Arc::clone(&result));
+        Ok(result)
+    }
+
     /// Executes a plan with an explicit, caller-owned memo — the seam
-    /// under both [`PlanEngine::execute`] (fresh private memo) and
-    /// [`PlanEngine::execute_cached`] (shared-cache view).
+    /// under [`PlanEngine::execute`] (fresh private memo),
+    /// [`PlanEngine::execute_cached`] (shared-cache view) and
+    /// [`PlanEngine::execute_result`].
     pub fn execute_with_memo(
         &self,
         ctx: &MatchContext<'_>,

@@ -1,5 +1,6 @@
 //! The engine's execution decisions, each defined once: storage, fusion,
-//! and shard, worker and fused-thread counts. [`PlanEngine`](super::PlanEngine)
+//! shard, worker and fused-thread counts, and whether a plan's final
+//! result may be cached. [`PlanEngine`](super::PlanEngine)
 //! evaluates these rules on runtime values and
 //! [`PlanAnalyzer`](super::PlanAnalyzer) on its static bounds, so a
 //! prediction cannot drift from what it predicts. Also home to the runner
@@ -115,6 +116,22 @@ pub(super) fn fusable_leaf<'p>(
     } else {
         Err(Unfusable::Unshardable(unshardable))
     }
+}
+
+/// The result-cache rule: a plan's final result may be kept under its
+/// schema-pair scope and answered again for an identical plan when the
+/// plan has no `Reuse` node and every matcher it names is in the library
+/// and [`Matcher::pure`]. The repository is then no input, so the result
+/// depends only on the two schemas' contents and the plan.
+pub(super) fn result_cacheable(library: &MatcherLibrary, plan: &MatchPlan) -> bool {
+    fn has_reuse(plan: &MatchPlan) -> bool {
+        matches!(plan, MatchPlan::Reuse { .. }) || plan.children().into_iter().any(has_reuse)
+    }
+    !has_reuse(plan)
+        && plan
+            .matcher_names()
+            .into_iter()
+            .all(|name| library.get(name).is_some_and(|m| m.pure()))
 }
 
 /// Worker threads an execution may occupy: the machine's available
@@ -236,6 +253,29 @@ mod tests {
 
     fn top(input: MatchPlan) -> MatchPlan {
         input.top_k(2, TopKPer::Both).unwrap()
+    }
+
+    /// Only plans whose answer cannot depend on the repository are
+    /// cacheable: no `Reuse` node at any depth, only known pure matchers.
+    #[test]
+    fn result_cache_rule_admits_only_repository_free_plans() {
+        use crate::matchers::MatcherLibrary;
+        use crate::process::MatchStrategy;
+        let library = MatcherLibrary::standard();
+        let cacheable = |plan: &MatchPlan| super::result_cacheable(&library, plan);
+        let default = MatchPlan::from(&MatchStrategy::paper_default());
+        assert!(cacheable(&default));
+        assert!(cacheable(&crate::plans::topk_pruned_plan(5)));
+        assert!(cacheable(&crate::plans::candidate_index_plan(5)));
+        let reuse = MatchPlan::reuse(None);
+        assert!(!cacheable(&reuse));
+        let nested = MatchPlan::par(
+            vec![default.clone(), reuse],
+            CombinationStrategy::paper_default(),
+        );
+        assert!(!cacheable(&nested));
+        assert!(!cacheable(&MatchPlan::matchers(["Name", "SchemaM"])));
+        assert!(!cacheable(&MatchPlan::matchers(["Name", "NoSuchMatcher"])));
     }
 
     /// Every blocker of the fusion rule keeps the engine's prunable stage

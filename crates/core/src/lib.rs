@@ -66,8 +66,8 @@ pub use cube::{SimCube, SimMatrix, SparseBuilder, StorageMode};
 pub use engine::{
     human_bytes, schema_fingerprint, shard_ranges, CacheStats, CandidateParams, CandidateScorer,
     EngineCache, EngineConfig, IndexStats, MatchMemo, MatchPlan, NodeFacts, PairMask, PlanAnalysis,
-    PlanAnalyzer, PlanDiagnostic, PlanEngine, PlanError, PlanErrorKind, PlanOutcome, ScopeWarmth,
-    Severity, StageOutcome, TaskStats, TopKPer, Tri, VocabIndex,
+    PlanAnalyzer, PlanDiagnostic, PlanEngine, PlanError, PlanErrorKind, PlanOutcome, SchemaStats,
+    ScopeWarmth, Severity, StageOutcome, TaskStats, TopKPer, Tri, VocabIndex,
 };
 pub use error::{CoreError, Result};
 pub use matchers::{Auxiliary, MatchContext, Matcher, MatcherLibrary};

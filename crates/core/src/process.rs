@@ -208,10 +208,10 @@ impl Coma {
     /// Like [`Coma::match_plan_with`], but memoizing through a shared
     /// cross-request [`EngineCache`]
     /// (see [`PlanEngine::execute_cached`]): repeat calls against the
-    /// same schemas — by content, not allocation — skip tokenization,
-    /// name-pair scoring, pure matcher matrices and vocabulary-index
-    /// builds. The cache must be dedicated to this instance's auxiliary
-    /// configuration and matcher library.
+    /// same schemas — by content, not allocation — reuse tokenizations,
+    /// full pure matcher matrices and vocabulary indexes. The cache must
+    /// be dedicated to this instance's auxiliary configuration and
+    /// matcher library.
     pub fn match_plan_cached(
         &self,
         cfg: EngineConfig,

@@ -17,12 +17,20 @@
 //!   [`ServerState`]; stored schemas are handed out as shared
 //!   `Arc<Schema>` allocations, and the engine row-shards big stages
 //!   across its own threads.
+//! * **Prepared schemas** — a stored schema's paths, content
+//!   fingerprint and schema-side task statistics
+//!   ([`coma_core::SchemaStats`]) are computed once, at its first match,
+//!   and replaced when `PutSchema` stores new content under its name.
 //! * **Cross-request memo** — every tenant owns a
-//!   [`coma_core::EngineCache`]: tokenizations, name-pair similarity
-//!   tables, pure matcher matrices and vocabulary indexes are keyed by
-//!   schema *content fingerprint*, so repeat traffic against a hot
-//!   schema pair skips recomputation entirely (the per-execution
-//!   `MatchMemo` is a view over this cache).
+//!   [`coma_core::EngineCache`]: tokenizations, full pure matcher
+//!   matrices and vocabulary indexes are keyed by schema *content
+//!   fingerprint* (the per-execution `MatchMemo` is a view over this
+//!   cache). A repeat of a plan that cannot depend on the repository (no
+//!   `Reuse` plan, no reuse matcher) is answered from the final result
+//!   the cache kept for the schema pair and executes nothing; the cache
+//!   keeps at most a few results per pair, under its pair bound, and
+//!   counts them as `result_hits`/`result_misses` in
+//!   [`coma_core::CacheStats`].
 //!
 //! The binary (`coma-server --socket PATH [--store FILE]`) serves until
 //! a `Shutdown` request; `coma-cli --server PATH …` is the matching

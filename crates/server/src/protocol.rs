@@ -23,6 +23,10 @@ use std::io::{Read, Write};
 /// malformed length prefix.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
+/// Payload bytes a frame must deliver before [`read_message`] reserves
+/// the rest of its declared length.
+const FIRST_CHUNK_BYTES: usize = 8 * 1024;
+
 /// A schema sent inline with a request, as source text in one of the
 /// supported frontends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -320,8 +324,15 @@ pub fn read_message<T: Deserialize>(r: &mut impl Read) -> std::io::Result<Option
             format!("frame of {len} bytes exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
+    // The buffer grows with the bytes that arrive: a peer that declares
+    // a large frame and then stalls or hangs up costs one first chunk,
+    // not the declared length.
+    let len = len as usize;
+    let first = len.min(FIRST_CHUNK_BYTES);
+    let mut payload = vec![0u8; first];
     r.read_exact(&mut payload)?;
+    payload.resize(len, 0);
+    r.read_exact(&mut payload[first..])?;
     let json = String::from_utf8(payload)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let value = serde_json::from_str(&json)

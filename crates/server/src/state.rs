@@ -3,27 +3,67 @@
 //! One [`ServerState`] serves every connection: the matcher library and
 //! auxiliary tables (shared, immutable for the server's life — the
 //! stability the cross-request caches require), the persistent
-//! repository behind its `RwLock`, a hot working set of `Arc<Schema>`s
-//! so concurrent sessions share one allocation per schema, and one
-//! [`EngineCache`] per tenant. Request dispatch is synchronous: the
-//! connection thread that read the frame runs the match (the plan
-//! engine row-shards big stages across its own scoped threads).
+//! repository behind its `RwLock`, a hot working set of stored schemas
+//! (each an `Arc<Schema>` that concurrent sessions share, prepared for
+//! matching at its first match), and one [`EngineCache`] per tenant.
+//! Request dispatch is synchronous: the connection thread that read the
+//! frame runs the match (the plan engine row-shards big stages across
+//! its own scoped threads).
 
 use crate::protocol::{
     InlineSchema, MatchConfig, MatchRequest, MatchResponse, PlanSpec, RankedCorrespondence,
     Request, Response, SchemaFormat, SchemaInfo, SchemaRef, ServerStats, WireDiagnostic,
 };
 use coma_core::{
-    plans, schema_fingerprint, Auxiliary, EngineCache, EngineConfig, MatchContext, MatchPlan,
-    MatchStrategy, MatcherLibrary, PlanAnalyzer, PlanEngine, TaskStats,
+    plans, schema_fingerprint, Auxiliary, EngineCache, EngineConfig, MatchContext, MatchMemo,
+    MatchPlan, MatchStrategy, MatcherLibrary, PlanAnalyzer, PlanEngine, SchemaStats, TaskStats,
 };
 use coma_graph::{PathSet, Schema};
 use coma_repo::{MappingKind, PersistentRepository, RepositoryBackend};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// One side of a match: a schema and, once computed, what matching it
+/// needs from it alone.
+struct Side {
+    schema: Arc<Schema>,
+    prepared: OnceLock<Prepared>,
+}
+
+/// A schema prepared for matching: its paths, its content fingerprint
+/// and the schema-side half of the analyzer's task statistics.
+struct Prepared {
+    paths: PathSet,
+    fingerprint: u64,
+    stats: SchemaStats,
+}
+
+impl Side {
+    fn new(schema: Schema) -> Side {
+        Side {
+            schema: Arc::new(schema),
+            prepared: OnceLock::new(),
+        }
+    }
+
+    /// The prepared form, computed by the first caller (concurrent first
+    /// callers may each compute it; one result is kept).
+    fn prepared(&self, aux: &Auxiliary) -> Result<&Prepared, String> {
+        if let Some(prepared) = self.prepared.get() {
+            return Ok(prepared);
+        }
+        let paths = PathSet::new(&self.schema).map_err(|e| e.to_string())?;
+        let prepared = Prepared {
+            fingerprint: schema_fingerprint(&self.schema, &paths),
+            stats: SchemaStats::of(&self.schema, &paths, aux),
+            paths,
+        };
+        Ok(self.prepared.get_or_init(|| prepared))
+    }
+}
 
 /// Per-tenant state: the cross-request cache and a request counter.
 pub struct TenantState {
@@ -46,9 +86,11 @@ pub struct ServerState {
     library: MatcherLibrary,
     aux: Auxiliary,
     repo: PersistentRepository,
-    /// Hot working set: schema name → shared allocation. Concurrent
-    /// sessions matching the same stored schema share one `Arc<Schema>`.
-    schemas: RwLock<HashMap<String, Arc<Schema>>>,
+    /// Hot working set: schema name → the stored schema, prepared at its
+    /// first match. Every write that stores a schema (`PutSchema`, or an
+    /// inline side of a `store: true` match) replaces its entry, so a
+    /// name's prepared form always belongs to the content stored under it.
+    schemas: RwLock<HashMap<String, Arc<Side>>>,
     tenants: RwLock<HashMap<String, Arc<TenantState>>>,
     cache_pairs: usize,
     shutdown: AtomicBool,
@@ -157,20 +199,18 @@ impl ServerState {
             Ok(i) => i,
             Err(e) => return Response::Error(e),
         };
-        let shared = Arc::new(schema);
-        if let Err(e) = self.repo.mutate(|r| r.put_schema((*shared).clone())) {
+        let side = Arc::new(Side::new(schema));
+        if let Err(e) = self.repo.mutate(|r| r.put_schema((*side.schema).clone())) {
             return Response::Error(e.to_string());
         }
-        self.schemas
-            .write()
-            .insert(info.name.clone(), Arc::clone(&shared));
+        self.schemas.write().insert(info.name.clone(), side);
         Response::SchemaStored(info)
     }
 
     fn get_schema(&self, tenant: &str, name: &str) -> Response {
         self.tenant(tenant).requests.fetch_add(1, Ordering::Relaxed);
         match self.resolve_stored(name) {
-            Ok(schema) => match Self::info(&schema) {
+            Ok(side) => match Self::info(&side.schema) {
                 Ok(info) => Response::Schema(info),
                 Err(e) => Response::Error(e),
             },
@@ -178,9 +218,9 @@ impl ServerState {
         }
     }
 
-    /// A stored schema as a shared allocation, loading it from the
+    /// A stored schema's hot entry, loading the schema from the
     /// repository into the hot working set on first use.
-    fn resolve_stored(&self, name: &str) -> Result<Arc<Schema>, String> {
+    fn resolve_stored(&self, name: &str) -> Result<Arc<Side>, String> {
         if let Some(hit) = self.schemas.read().get(name) {
             return Ok(Arc::clone(hit));
         }
@@ -190,19 +230,20 @@ impl ServerState {
             .schema(name)
             .cloned()
             .ok_or_else(|| format!("no stored schema named {name:?}"))?;
-        let shared = Arc::new(loaded);
         Ok(Arc::clone(
             self.schemas
                 .write()
                 .entry(name.to_string())
-                .or_insert(shared),
+                .or_insert_with(|| Arc::new(Side::new(loaded))),
         ))
     }
 
-    fn resolve(&self, side: &SchemaRef) -> Result<Arc<Schema>, String> {
+    /// A match side: a stored schema's shared hot entry, or a fresh one
+    /// for an inline schema, prepared for this request only.
+    fn resolve(&self, side: &SchemaRef) -> Result<Arc<Side>, String> {
         match side {
             SchemaRef::Stored(name) => self.resolve_stored(name),
-            SchemaRef::Inline(inline) => Self::parse_inline(inline).map(Arc::new),
+            SchemaRef::Inline(inline) => Self::parse_inline(inline).map(|s| Arc::new(Side::new(s))),
         }
     }
 
@@ -248,9 +289,11 @@ impl ServerState {
         let cfg = Self::engine_config(&req.config);
 
         let started = Instant::now();
-        let (source_paths, target_paths) = match (PathSet::new(&source), PathSet::new(&target)) {
+        // Outside the repository lock: a stored schema is prepared once,
+        // at its first match; an inline one for this request.
+        let (sp, tp) = match (source.prepared(&self.aux), target.prepared(&self.aux)) {
             (Ok(s), Ok(t)) => (s, t),
-            (Err(e), _) | (_, Err(e)) => return Response::Error(e.to_string()),
+            (Err(e), _) | (_, Err(e)) => return Response::Error(e),
         };
         // The read guard spans the execution so reuse matchers see a
         // consistent repository snapshot; writers (PutSchema / store)
@@ -258,19 +301,25 @@ impl ServerState {
         let is_reuse = matches!(req.plan, PlanSpec::Reuse(_));
         let (mapping, reused, reuse_path, diagnostics) = {
             let repo = self.repo.read();
-            let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, &self.aux)
-                .with_repository(&repo);
+            let ctx = MatchContext::new(
+                &source.schema,
+                &target.schema,
+                &sp.paths,
+                &tp.paths,
+                &self.aux,
+            )
+            .with_repository(&repo);
             // Pre-execution static analysis against the resolved engine
             // config and the tenant's cross-request cache: a plan with
             // error diagnostics never executes; warnings and notes ride
             // along in the response.
-            let task_stats = TaskStats::gather(&ctx);
+            let task_stats = TaskStats::from_sides(&ctx, &sp.stats, &tp.stats);
             let analysis = PlanAnalyzer::new(&self.library, cfg.clone()).analyze_with_cache(
                 &plan,
                 &task_stats,
                 &tenant.cache,
-                schema_fingerprint(&source, &source_paths),
-                schema_fingerprint(&target, &target_paths),
+                sp.fingerprint,
+                tp.fingerprint,
             );
             if analysis.has_errors() {
                 return Response::InvalidPlan(
@@ -287,60 +336,64 @@ impl ServerState {
                 .map(WireDiagnostic::from_core)
                 .collect();
             let engine = PlanEngine::with_config(&self.library, cfg);
-            let outcome = match engine.execute_cached(&ctx, &plan, &tenant.cache) {
-                Ok(o) => o,
+            let memo = MatchMemo::scoped(&tenant.cache, sp.fingerprint, tp.fingerprint);
+            let answered = if is_reuse {
+                engine
+                    .execute_with_memo(&ctx, &plan, &memo)
+                    .and_then(|outcome| {
+                        let chosen_path = outcome
+                            .stages
+                            .last()
+                            .and_then(|s| s.reuse_stats.as_ref())
+                            .and_then(|s| s.paths.first())
+                            .map(|p| p.via.clone());
+                        match chosen_path {
+                            Some(via) => Ok((Arc::new(outcome.result), Some(true), Some(via))),
+                            // No pivot path connects the two sides: fall back
+                            // to fresh matching with the Default plan. The
+                            // response flags the miss (`reused: Some(false)`)
+                            // — it is an answer, not an error.
+                            None => engine
+                                .execute_result(&ctx, &Self::plan_of(&PlanSpec::Default), &memo)
+                                .map(|result| (result, Some(false), None)),
+                        }
+                    })
+            } else {
+                engine
+                    .execute_result(&ctx, &plan, &memo)
+                    .map(|result| (result, None, None))
+            };
+            let (result, reused, reuse_path) = match answered {
+                Ok(answer) => answer,
                 Err(e) => return Response::Error(e.to_string()),
             };
-            let chosen_path = outcome
-                .stages
-                .last()
-                .and_then(|s| s.reuse_stats.as_ref())
-                .and_then(|s| s.paths.first())
-                .map(|p| p.via.clone());
-            match (is_reuse, chosen_path) {
-                (true, Some(via)) => (
-                    outcome.result.to_mapping(&ctx, MappingKind::Automatic),
-                    Some(true),
-                    Some(via),
-                    diagnostics,
-                ),
-                (true, None) => {
-                    // No pivot path connects the two sides: fall back to
-                    // fresh matching with the Default plan. The response
-                    // flags the miss (`reused: Some(false)`) — it is an
-                    // answer, not an error.
-                    let fallback = Self::plan_of(&PlanSpec::Default);
-                    let outcome = match engine.execute_cached(&ctx, &fallback, &tenant.cache) {
-                        Ok(o) => o,
-                        Err(e) => return Response::Error(e.to_string()),
-                    };
-                    (
-                        outcome.result.to_mapping(&ctx, MappingKind::Automatic),
-                        Some(false),
-                        None,
-                        diagnostics,
-                    )
-                }
-                (false, _) => (
-                    outcome.result.to_mapping(&ctx, MappingKind::Automatic),
-                    None,
-                    None,
-                    diagnostics,
-                ),
-            }
+            (
+                result.to_mapping(&ctx, MappingKind::Automatic),
+                reused,
+                reuse_path,
+                diagnostics,
+            )
         };
         let elapsed_micros = started.elapsed().as_micros() as u64;
 
         if req.store {
             let stored = mapping.clone();
-            let source_schema = (*source).clone();
-            let target_schema = (*target).clone();
+            let source_schema = (*source.schema).clone();
+            let target_schema = (*target.schema).clone();
             if let Err(e) = self.repo.mutate(move |r| {
                 r.put_schema(source_schema);
                 r.put_schema(target_schema);
                 r.put_mapping(stored);
             }) {
                 return Response::Error(e.to_string());
+            }
+            // An inline side's content is now what its name stores: it
+            // replaces the hot entry, as `PutSchema` does.
+            let mut hot = self.schemas.write();
+            for (side, sent) in [(&source, &req.source), (&target, &req.target)] {
+                if let SchemaRef::Inline(_) = sent {
+                    hot.insert(side.schema.name().to_string(), Arc::clone(side));
+                }
             }
         }
 
@@ -362,8 +415,8 @@ impl ServerState {
         });
 
         Response::Matched(MatchResponse {
-            source: source.name().to_string(),
-            target: target.name().to_string(),
+            source: source.schema.name().to_string(),
+            target: target.schema.name().to_string(),
             correspondences,
             elapsed_micros,
             cache: tenant.cache.stats(),

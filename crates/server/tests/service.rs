@@ -252,41 +252,249 @@ fn repeated_match_request_hits_the_cross_request_memo() {
             inline("Big_tgt", 10, 10, "B"),
         ))
         .unwrap();
+    for plan in [PlanSpec::Default, PlanSpec::TopKPruned(5)] {
+        let request = Request::Match(MatchRequest {
+            tenant: "acme".to_string(),
+            source: SchemaRef::Stored("Big_src".to_string()),
+            target: SchemaRef::Stored("Big_tgt".to_string()),
+            plan: plan.clone(),
+            config: MatchConfig::default(),
+            store: false,
+        });
+        let Response::Matched(cold) = client.call_ok(&request).unwrap() else {
+            panic!("expected Matched");
+        };
+        let Response::Matched(warm) = client.call_ok(&request).unwrap() else {
+            panic!("expected Matched");
+        };
+
+        // Identical input must give identical output…
+        assert_eq!(cold.correspondences, warm.correspondences, "{plan:?}");
+        // …and the repeat must be answered from the plan's kept result:
+        // no matrix computed, no index built, exactly one result hit.
+        assert_eq!(
+            (warm.cache.matrix_misses, warm.cache.index_misses),
+            (cold.cache.matrix_misses, cold.cache.index_misses),
+            "{plan:?}: the repeat recomputed an artifact"
+        );
+        assert_eq!(
+            (warm.cache.result_hits, warm.cache.result_misses),
+            (cold.cache.result_hits + 1, cold.cache.result_misses),
+            "{plan:?}: the repeat was not answered from its kept result"
+        );
+        // Wall time is noisy on a loaded box, so gate loosely: the warm
+        // request must not be dramatically slower, and on a quiet machine
+        // it is typically several times faster.
+        assert!(
+            warm.elapsed_micros <= cold.elapsed_micros.max(1) * 2,
+            "{plan:?}: warm request ({} us) slower than 2x cold ({} us)",
+            warm.elapsed_micros,
+            cold.elapsed_micros
+        );
+    }
+
+    client.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
+/// Storing new content under a stored schema's name replaces its
+/// prepared form and its fingerprint, so the next match answers for the
+/// new content instead of returning the old pair's kept result.
+#[test]
+fn re_put_schema_changes_the_next_match() {
+    let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (socket, handle) = spawn_server(state, "re_put");
+    let mut client = connect(&socket);
+    let put = |client: &mut Client, name: &str, variant: &str| {
+        client
+            .call_ok(&Request::PutSchema(
+                "acme".to_string(),
+                inline(name, 3, 4, variant),
+            ))
+            .unwrap();
+    };
     let request = match_request(
         "acme",
-        SchemaRef::Stored("Big_src".to_string()),
-        SchemaRef::Stored("Big_tgt".to_string()),
+        SchemaRef::Stored("Re_src".to_string()),
+        SchemaRef::Stored("Re_tgt".to_string()),
         false,
     );
-
-    let Response::Matched(cold) = client.call_ok(&request).unwrap() else {
-        panic!("expected Matched");
+    let matched = |client: &mut Client| match client.call_ok(&request).unwrap() {
+        Response::Matched(m) => m,
+        other => panic!("expected Matched, got {other:?}"),
     };
-    let Response::Matched(warm) = client.call_ok(&request).unwrap() else {
-        panic!("expected Matched");
-    };
+    put(&mut client, "Re_src", "A");
+    put(&mut client, "Re_tgt", "B");
+    let before = matched(&mut client);
+    assert_eq!(matched(&mut client).correspondences, before.correspondences);
 
-    // Identical input must give identical output…
-    assert_eq!(cold.correspondences, warm.correspondences);
-    // …and the repeat request must have hit the shared cache: matrix
-    // misses stop growing while hits keep climbing.
+    // New content under the source's name: it now matches the target
+    // element for element.
+    put(&mut client, "Re_src", "B");
+    let after = matched(&mut client);
+    assert_ne!(after.correspondences, before.correspondences);
     assert_eq!(
-        warm.cache.matrix_misses, cold.cache.matrix_misses,
-        "second request recomputed matrices it should have reused"
+        after.cache.result_hits,
+        before.cache.result_hits + 1,
+        "only the repeat before the re-put was answered from a kept result"
     );
+    let stored = matched(&mut client);
+    assert_eq!(stored.correspondences, after.correspondences);
+
+    // The same answer as a fresh server that only ever saw the new
+    // content.
+    let fresh_state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (fresh_socket, fresh_handle) = spawn_server(fresh_state, "re_put_fresh");
+    let mut fresh = connect(&fresh_socket);
+    put(&mut fresh, "Re_src", "B");
+    put(&mut fresh, "Re_tgt", "B");
+    assert_eq!(matched(&mut fresh).correspondences, after.correspondences);
+
+    for (client, handle) in [(client, handle), (fresh, fresh_handle)] {
+        let mut client = client;
+        client.call(&Request::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+}
+
+/// A `store: true` match of an inline schema stores its content under
+/// the schema's name, and later requests naming it see that content.
+#[test]
+fn an_inline_stored_match_replaces_the_named_schema() {
+    let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (socket, handle) = spawn_server(state, "inline_store");
+    let mut client = connect(&socket);
+    for (name, tables) in [("In_src", 2), ("In_tgt", 3)] {
+        client
+            .call_ok(&Request::PutSchema(
+                "acme".to_string(),
+                inline(name, tables, 4, "A"),
+            ))
+            .unwrap();
+    }
+    let stored = |name: &str| SchemaRef::Stored(name.to_string());
+    let nodes = |client: &mut Client| match client
+        .call_ok(&Request::GetSchema(
+            "acme".to_string(),
+            "In_src".to_string(),
+        ))
+        .unwrap()
+    {
+        Response::Schema(info) => info.nodes,
+        other => panic!("expected Schema, got {other:?}"),
+    };
+    let before = nodes(&mut client);
+    client
+        .call_ok(&match_request(
+            "acme",
+            stored("In_src"),
+            stored("In_tgt"),
+            false,
+        ))
+        .unwrap();
+    let replacement = inline("In_src", 3, 4, "A");
+    let Response::Matched(sent) = client
+        .call_ok(&match_request(
+            "acme",
+            SchemaRef::Inline(replacement),
+            stored("In_tgt"),
+            true,
+        ))
+        .unwrap()
+    else {
+        panic!("expected Matched");
+    };
     assert!(
-        warm.cache.matrix_hits > cold.cache.matrix_hits,
-        "second request never touched the cross-request cache"
+        nodes(&mut client) > before,
+        "GetSchema served the old content"
     );
-    // Wall time is noisy on a loaded box, so gate loosely: the warm
-    // request must not be dramatically slower, and on a quiet machine
-    // it is typically several times faster.
-    assert!(
-        warm.elapsed_micros <= cold.elapsed_micros.max(1) * 2,
-        "warm request ({} us) slower than 2x cold ({} us)",
-        warm.elapsed_micros,
-        cold.elapsed_micros
-    );
+    let Response::Matched(named) = client
+        .call_ok(&match_request(
+            "acme",
+            stored("In_src"),
+            stored("In_tgt"),
+            false,
+        ))
+        .unwrap()
+    else {
+        panic!("expected Matched");
+    };
+    assert_eq!(named.correspondences, sent.correspondences);
+
+    client.call(&Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
+/// A plan whose answer depends on the repository — a `Reuse` plan, or a
+/// flat strategy naming the `SchemaM` reuse matcher — always executes:
+/// it neither finds nor leaves a kept result, so storing mappings
+/// changes its next answer.
+#[test]
+fn repository_dependent_plans_are_never_answered_from_the_cache() {
+    let state = ServerState::open(coma_repo::MemoryBackend::new(), 8).unwrap();
+    let (socket, handle) = spawn_server(state, "impure");
+    let mut client = connect(&socket);
+    for (name, variant) in [("P1", "A"), ("P2", "B"), ("P3", "C")] {
+        client
+            .call_ok(&Request::PutSchema(
+                "acme".to_string(),
+                inline(name, 3, 4, variant),
+            ))
+            .unwrap();
+    }
+    // `SchemaM` reuses manual mappings, `SchemaA` automatic ones (what
+    // the server stores); `Max` keeps either's answer.
+    let mut schema_reuse = coma_core::MatchStrategy::paper_default();
+    schema_reuse.matchers = vec!["SchemaM".to_string(), "SchemaA".to_string()];
+    schema_reuse.combination.aggregation = coma_core::Aggregation::Max;
+    let p1_p3 = |plan: PlanSpec| {
+        Request::Match(MatchRequest {
+            tenant: "acme".to_string(),
+            source: SchemaRef::Stored("P1".to_string()),
+            target: SchemaRef::Stored("P3".to_string()),
+            plan,
+            config: MatchConfig::default(),
+            store: false,
+        })
+    };
+    let flat = p1_p3(PlanSpec::Flat(schema_reuse));
+    let Response::Matched(before) = client.call_ok(&flat).unwrap() else {
+        panic!("expected Matched");
+    };
+    assert!(before.correspondences.is_empty(), "no mapping stored yet");
+
+    for (a, b) in [("P1", "P2"), ("P2", "P3")] {
+        client
+            .call_ok(&match_request(
+                "acme",
+                SchemaRef::Stored(a.to_string()),
+                SchemaRef::Stored(b.to_string()),
+                true,
+            ))
+            .unwrap();
+    }
+    let reuse = p1_p3(PlanSpec::Reuse(ReuseSpec::default()));
+    for request in [flat, reuse] {
+        let mut answers = Vec::new();
+        for _ in 0..3 {
+            let Response::Matched(m) = client.call_ok(&request).unwrap() else {
+                panic!("{request:?}: expected Matched");
+            };
+            answers.push(m);
+        }
+        assert!(
+            !answers[0].correspondences.is_empty(),
+            "{request:?} missed the stored mappings"
+        );
+        for later in &answers[1..] {
+            assert_eq!(later.correspondences, answers[0].correspondences);
+            assert_eq!(
+                (later.cache.result_hits, later.cache.result_misses),
+                (answers[0].cache.result_hits, answers[0].cache.result_misses),
+                "{request:?} looked up or found a kept result"
+            );
+        }
+    }
 
     client.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();

@@ -211,11 +211,13 @@ fn print_response(response: Response, json: bool) -> ExitCode {
             );
             println!(
                 "cache: {} matrix hits / {} misses, {} index hits / {} misses, \
-                 {} matrices, {} indexes, {} token sets",
+                 {} result hits / {} misses, {} matrices, {} indexes, {} token sets",
                 stats.cache.matrix_hits,
                 stats.cache.matrix_misses,
                 stats.cache.index_hits,
                 stats.cache.index_misses,
+                stats.cache.result_hits,
+                stats.cache.result_misses,
                 stats.cache.matrix_entries,
                 stats.cache.index_entries,
                 stats.cache.token_entries
@@ -232,13 +234,15 @@ fn print_response(response: Response, json: bool) -> ExitCode {
             }
             eprintln!(
                 "# {} -> {}: {} correspondences in {:.2} ms \
-                 ({} matrix hits / {} misses)",
+                 ({} matrix hits / {} misses, {} result hits / {} misses)",
                 matched.source,
                 matched.target,
                 matched.correspondences.len(),
                 matched.elapsed_micros as f64 / 1e3,
                 matched.cache.matrix_hits,
-                matched.cache.matrix_misses
+                matched.cache.matrix_misses,
+                matched.cache.result_hits,
+                matched.cache.result_misses
             );
             match (matched.reused, &matched.reuse_path) {
                 (Some(true), Some(via)) => eprintln!("# reused stored mappings via {via}"),

@@ -21,11 +21,14 @@ use coma::core::plans::{
     candidate_index_plan, fused_filter_plan, liberal_name_stage, topk_pruned_plan,
 };
 use coma::core::{
-    Coma, EngineConfig, MatchContext, MatchPlan, PlanAnalyzer, PlanEngine, TaskStats, TopKPer, Tri,
+    Coma, EngineConfig, MatchContext, MatchPlan, PlanAnalyzer, PlanEngine, SchemaStats, TaskStats,
+    TopKPer, Tri, VocabIndex,
 };
-use coma::graph::PathSet;
+use coma::graph::{PathSet, Schema};
+use coma::repo::{Mapping, MappingKind, Repository};
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
 use coma_bench::workload::{generate_task, WorkloadShape, WorkloadSpec};
+use std::collections::BTreeSet;
 use std::sync::PoisonError;
 
 /// Register the counting allocator so [`measure_peak`] reports real
@@ -267,6 +270,155 @@ fn shard_estimates_bound_executed_shards() {
                     stage.label,
                     stage.shards
                 );
+            }
+        }
+    }
+}
+
+/// `TaskStats` as gathered before its schema-side half was split out:
+/// one `q = 3` index per side over the context's element names, and the
+/// pair figures from the context. The oracle for the property below.
+fn gathered_whole(ctx: &MatchContext<'_>) -> TaskStats {
+    let (m, n) = (ctx.rows(), ctx.cols());
+    let source = VocabIndex::build((0..m).map(|i| ctx.source_name(i)), ctx.aux, 3);
+    let target = VocabIndex::build((0..n).map(|j| ctx.target_name(j)), ctx.aux, 3);
+    let shared = source.tokens().filter(|t| target.has_token(t)).count();
+    let union = source.distinct_tokens() + target.distinct_tokens() - shared;
+    let distinct = |names: Vec<&str>| names.into_iter().collect::<BTreeSet<_>>().len();
+    let leaves = |schema: &Schema, paths: &PathSet| {
+        paths
+            .iter()
+            .filter(|&id| schema.is_leaf(paths.node_of(id)))
+            .count()
+    };
+    let leafset_ids = |paths: &PathSet| {
+        let order: Vec<_> = paths.iter().collect();
+        let mut counts = vec![0usize; paths.len()];
+        for &p in order.iter().rev() {
+            counts[p.index()] = if paths.is_leaf(p) {
+                1
+            } else {
+                paths.children(p).iter().map(|c| counts[c.index()]).sum()
+            };
+        }
+        counts.into_iter().sum::<usize>()
+    };
+    let (min_pivot_hops, repo_correspondences) = match ctx.repository {
+        Some(repo) => (
+            repo.pivot_paths(
+                ctx.source.name(),
+                ctx.target.name(),
+                TaskStats::PIVOT_PROBE_HOPS,
+                |_| true,
+            )
+            .iter()
+            .map(|c| c.hops.len())
+            .min(),
+            repo.mappings().iter().map(|m| m.len()).sum(),
+        ),
+        None => (None, 0),
+    };
+    TaskStats {
+        rows: m,
+        cols: n,
+        source_leaves: leaves(ctx.source, ctx.source_paths),
+        target_leaves: leaves(ctx.target, ctx.target_paths),
+        source_leafset_ids: leafset_ids(ctx.source_paths),
+        target_leafset_ids: leafset_ids(ctx.target_paths),
+        source_distinct_names: distinct((0..m).map(|i| ctx.source_name(i)).collect()),
+        target_distinct_names: distinct((0..n).map(|j| ctx.target_name(j)).collect()),
+        source_tokens: source.distinct_tokens(),
+        target_tokens: target.distinct_tokens(),
+        token_postings: source.token_posting_entries() + target.token_posting_entries(),
+        gram_postings: source.gram_posting_entries() + target.gram_posting_entries(),
+        vocab_overlap: if union == 0 {
+            0.0
+        } else {
+            shared as f64 / union as f64
+        },
+        feedback_pins: ctx.aux.feedback.len(),
+        min_pivot_hops,
+        repo_correspondences,
+    }
+}
+
+/// A side's `SchemaStats` depends on that schema alone: prepared once
+/// per schema, from its own allocation, and paired in either role (or
+/// with itself) by `TaskStats::from_sides`, it yields exactly what
+/// `TaskStats::gather` computes on the task — and what gathering the
+/// task whole computed before the split — on generated pairs of every
+/// shape, with no repository and with one holding a pivot chain.
+#[test]
+fn prepared_sides_pair_into_the_gathered_stats() {
+    let mut coma = Coma::new();
+    coma.aux_mut().feedback.add_match("name", "name");
+    let shapes = [
+        WorkloadShape::Star,
+        WorkloadShape::Deep,
+        WorkloadShape::Wide,
+        WorkloadShape::Catalog,
+    ];
+    for shape in shapes {
+        for (nodes, seed) in [(40, 3), (160, 11), (300, 29)] {
+            let spec = WorkloadSpec::new(shape, nodes, seed);
+            let (source, target) = generate_task(&spec);
+            let prepare = |schema: &Schema| {
+                let copy = schema.clone();
+                let paths = PathSet::new(&copy).unwrap();
+                SchemaStats::of(&copy, &paths, coma.aux())
+            };
+            let (source_side, target_side) = (prepare(&source), prepare(&target));
+            let mut repo = Repository::new();
+            for (a, b) in [(source.name(), "Pivot"), ("Pivot", target.name())] {
+                let mut mapping = Mapping::new(a, b, MappingKind::Automatic);
+                mapping.push(format!("{a}.x"), format!("{b}.x"), 0.75);
+                repo.put_mapping(mapping);
+            }
+            let paths = (
+                PathSet::new(&source).unwrap(),
+                PathSet::new(&target).unwrap(),
+            );
+            let pairs = [
+                (
+                    &source,
+                    &target,
+                    &paths.0,
+                    &paths.1,
+                    &source_side,
+                    &target_side,
+                ),
+                (
+                    &target,
+                    &source,
+                    &paths.1,
+                    &paths.0,
+                    &target_side,
+                    &source_side,
+                ),
+                (
+                    &source,
+                    &source,
+                    &paths.0,
+                    &paths.0,
+                    &source_side,
+                    &source_side,
+                ),
+            ];
+            for (role, (s, t, sp, tp, s_side, t_side)) in pairs.into_iter().enumerate() {
+                let bare = MatchContext::new(s, t, sp, tp, coma.aux());
+                for ctx in [bare, bare.with_repository(&repo)] {
+                    let which = format!(
+                        "{}/pair {role}/repository {}",
+                        spec.label(),
+                        ctx.repository.is_some()
+                    );
+                    let prepared = TaskStats::from_sides(&ctx, s_side, t_side);
+                    assert_eq!(prepared, TaskStats::gather(&ctx), "{which}");
+                    assert_eq!(prepared, gathered_whole(&ctx), "{which}");
+                    if role == 0 && ctx.repository.is_some() {
+                        assert_eq!(prepared.min_pivot_hops, Some(2), "{which}");
+                    }
+                }
             }
         }
     }

@@ -4,9 +4,15 @@
 //!
 //! Each hostile shape is a flat JSON array (`[0,…]`, `[{},…]`, `["",…]`)
 //! of 1 MiB and of 64 MiB (`MAX_FRAME_BYTES`), decoded as a
-//! [`Request`] under the counting allocator.
+//! [`Request`] under the counting allocator. Reading a frame costs what
+//! arrives: a header declaring `MAX_FRAME_BYTES` followed by 16 bytes of
+//! `[0,…` and EOF allocates no more than a short frame.
+//!
+//! One `#[test]` on purpose: a `measure_peak` window counts every
+//! thread's allocations, the harness's bookkeeping for a finished
+//! sibling test included.
 
-use coma::server::protocol::MAX_FRAME_BYTES;
+use coma::server::protocol::{read_message, MAX_FRAME_BYTES};
 use coma::server::Request;
 use coma_bench::alloc_track::{measure_peak, CountingAllocator};
 
@@ -41,4 +47,12 @@ fn hostile_flat_frames_are_rejected_in_constant_memory() {
         );
         assert_eq!(peaks[0], peaks[1], "`[{item},…]` costs more when longer");
     }
+
+    // A frame declaring the largest length and then hanging up.
+    let mut frame = MAX_FRAME_BYTES.to_be_bytes().to_vec();
+    frame.extend_from_slice(b"[0,0,0,0,0,0,0,0");
+    let (peak, read) = measure_peak(|| read_message::<Request>(&mut frame.as_slice()));
+    let err = read.expect_err("a frame cut short after 16 bytes was read");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(peak < 64 << 10, "reading it peaked at {peak} bytes");
 }

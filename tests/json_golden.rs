@@ -169,7 +169,7 @@ fn response_with_options_and_nested_structs() {
             reuse_path: None,
             diagnostics: Vec::new(),
         }),
-        r#"{"Matched":{"source":"a","target":"b","correspondences":[{"source_path":"a.x","target_path":"b.x","similarity":1.0}],"elapsed_micros":1234,"cache":{"matrix_hits":0,"matrix_misses":0,"index_hits":0,"index_misses":0,"token_entries":0,"matrix_entries":0,"index_entries":0},"reused":true,"reuse_path":null,"diagnostics":[]}}"#,
+        r#"{"Matched":{"source":"a","target":"b","correspondences":[{"source_path":"a.x","target_path":"b.x","similarity":1.0}],"elapsed_micros":1234,"cache":{"matrix_hits":0,"matrix_misses":0,"index_hits":0,"index_misses":0,"result_hits":0,"result_misses":0,"token_entries":0,"matrix_entries":0,"index_entries":0},"reused":true,"reuse_path":null,"diagnostics":[]}}"#,
         r#"{
   "Matched": {
     "source": "a",
@@ -187,6 +187,8 @@ fn response_with_options_and_nested_structs() {
       "matrix_misses": 0,
       "index_hits": 0,
       "index_misses": 0,
+      "result_hits": 0,
+      "result_misses": 0,
       "token_entries": 0,
       "matrix_entries": 0,
       "index_entries": 0

@@ -1,11 +1,11 @@
 //! Reuse of previous match results (paper, Section 5): the
 //! [`match_compose`] operation, the reuse-oriented matchers
 //! [`SchemaMatcher`] (`SchemaM` / `SchemaA`) and [`FragmentMatcher`], and
-//! the transitive [`ReuseResolver`] that walks stored-mapping *chains*
-//! (`Repository::pivot_chains`) and scores pivot paths.
+//! the transitive [`ReuseResolver`], which scores pivot paths. SchemaM/
+//! SchemaA and the resolver walk the same stored-mapping *chains*
+//! (`Repository::pivot_paths`) and merge them in one function.
 
-use crate::combine::Aggregation;
-use crate::cube::{SimCube, SimMatrix};
+use crate::cube::SimMatrix;
 use crate::matchers::context::MatchContext;
 use crate::matchers::Matcher;
 use coma_graph::PathSet;
@@ -13,6 +13,7 @@ use coma_repo::{compose_oriented, Mapping, MappingKind, PivotPath, Repository};
 use coma_strings::tokenize;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// How the two similarities of a transitive chain `a↔b↔c` are combined by
@@ -52,62 +53,138 @@ pub fn match_compose(m1: &Mapping, m2: &Mapping, combine: ComposeCombine) -> Map
 
 /// The `Schema` reuse matcher (Section 5.2, Figure 5): searches the
 /// repository for pivot schemas `S` with stored results `S1↔S` and `S↔S2`,
-/// MatchComposes each pair, and aggregates the composed results into one
-/// similarity matrix (one slice per composed mapping; missing pairs count
-/// as similarity 0, so pairs found via many pivots dominate — this is what
-/// "compensates the problem of false n:m matches" in Section 7.3).
+/// MatchComposes each pair, and merges the composed results into one
+/// similarity matrix. The search is the [`ReuseResolver`]'s walk at two
+/// hops, without its path scoring. The merge averages a pair over *all*
+/// chains, a chain that misses the pair counting as similarity 0, so pairs
+/// found via many pivots dominate — this is what "compensates the problem
+/// of false n:m matches" in Section 7.3.
 pub struct SchemaMatcher {
-    name: String,
+    name: &'static str,
     /// Restricts which stored mappings qualify (`None` = all).
     pub kind_filter: Option<MappingKind>,
     /// Transitive-similarity combination (default Average).
     pub compose: ComposeCombine,
-    /// Aggregation across multiple composed results (default Average).
-    pub aggregation: Aggregation,
 }
 
 impl SchemaMatcher {
     /// `SchemaM`: reuses manually confirmed match results.
     pub fn manual() -> SchemaMatcher {
         SchemaMatcher {
-            name: "SchemaM".into(),
+            name: "SchemaM",
             kind_filter: Some(MappingKind::Manual),
             compose: ComposeCombine::Average,
-            aggregation: Aggregation::Average,
         }
     }
 
     /// `SchemaA`: reuses automatically derived match results.
     pub fn automatic() -> SchemaMatcher {
         SchemaMatcher {
-            name: "SchemaA".into(),
+            name: "SchemaA",
             kind_filter: Some(MappingKind::Automatic),
             compose: ComposeCombine::Average,
-            aggregation: Aggregation::Average,
-        }
-    }
-
-    /// A custom variant.
-    pub fn with_name(name: impl Into<String>, kind_filter: Option<MappingKind>) -> SchemaMatcher {
-        SchemaMatcher {
-            name: name.into(),
-            kind_filter,
-            compose: ComposeCombine::Average,
-            aggregation: Aggregation::Average,
         }
     }
 }
 
-/// Converts a (full-name keyed) mapping into a matrix for a task.
-/// Correspondences naming unknown paths are ignored.
-fn mapping_to_matrix(
-    mapping: &Mapping,
-    src_index: &HashMap<String, usize>,
-    tgt_index: &HashMap<String, usize>,
-    rows: usize,
-    cols: usize,
-) -> SimMatrix {
+impl Matcher for SchemaMatcher {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    /// Reads the repository: never cached across executions.
+    fn pure(&self) -> bool {
+        false
+    }
+
+    fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
+        let Some(repo) = ctx.repository else {
+            return SimMatrix::new(ctx.rows(), ctx.cols());
+        };
+        let (source, target) = (ctx.source.name(), ctx.target.name());
+        let mut paths = repo.pivot_paths(source, target, 2, |m| {
+            self.kind_filter.is_none_or(|k| m.kind == k)
+        });
+        // Fold the chains in the order their pivots first appear among the
+        // stored mappings (each mapping's source name, then its target
+        // name), not in the walk's name order: the order of a cell's sum
+        // fixes its last bits.
+        let names = || {
+            repo.mappings()
+                .iter()
+                .flat_map(|m| [&m.source_schema, &m.target_schema])
+        };
+        paths.sort_by_cached_key(|path| names().position(|name| *name == path.pivots[0]));
+        let composed: Vec<Mapping> = paths
+            .iter()
+            .map(|path| compose_path(path, self.compose))
+            .collect();
+        render(ctx, &merge_chains(source, target, &composed, true))
+    }
+}
+
+/// MatchComposes a pivot path's hops from source to target.
+fn compose_path(path: &PivotPath<'_>, compose: ComposeCombine) -> Mapping {
+    let combine = |a, b| compose.apply(a, b);
+    // A pivot path has at least two hops (one pivot).
+    let mut acc = compose_oriented(path.hops[0], path.hops[1], combine);
+    for &hop in &path.hops[2..] {
+        acc = compose_oriented((&acc, false), hop, combine);
+    }
+    acc
+}
+
+/// Merges composed chains into one `source ↔ target` candidate mapping,
+/// pairs in first-seen order. A pair's similarities are summed in chain
+/// order and divided by the number of chains that witness it or, with
+/// `zero_fill`, by the number of all chains: a chain that misses the pair
+/// then counts as similarity 0.
+fn merge_chains<'m>(
+    source: &str,
+    target: &str,
+    chains: impl IntoIterator<Item = &'m Mapping>,
+    zero_fill: bool,
+) -> Mapping {
+    // Position of each (source, target) pair in `merged`.
+    let mut at: HashMap<(&str, &str), usize> = HashMap::new();
+    // (source, target, similarity sum, witnessing chains)
+    let mut merged: Vec<(&str, &str, f64, f64)> = Vec::new();
+    let mut chains_seen = 0.0;
+    for chain in chains {
+        chains_seen += 1.0;
+        for c in &chain.correspondences {
+            match at.entry((&c.source, &c.target)) {
+                Entry::Occupied(pair) => {
+                    let (_, _, sum, witnesses) = &mut merged[*pair.get()];
+                    *sum += c.similarity;
+                    *witnesses += 1.0;
+                }
+                Entry::Vacant(pair) => {
+                    pair.insert(merged.len());
+                    merged.push((&c.source, &c.target, c.similarity, 1.0));
+                }
+            }
+        }
+    }
+    let mut mapping = Mapping::new(source, target, MappingKind::Automatic);
+    for (s, t, sum, witnesses) in merged {
+        mapping.push(s, t, sum / if zero_fill { chains_seen } else { witnesses });
+    }
+    mapping
+}
+
+/// Renders a (full-name keyed) mapping as a matrix over the context's
+/// paths. Correspondences naming unknown paths are ignored.
+fn render(ctx: &MatchContext<'_>, mapping: &Mapping) -> SimMatrix {
+    let (rows, cols) = (ctx.rows(), ctx.cols());
     let mut m = SimMatrix::new(rows, cols);
+    if mapping.is_empty() {
+        return m;
+    }
+    let src_index: HashMap<String, usize> =
+        (0..rows).map(|i| (ctx.source_full_name(i), i)).collect();
+    let tgt_index: HashMap<String, usize> =
+        (0..cols).map(|j| (ctx.target_full_name(j), j)).collect();
     for c in &mapping.correspondences {
         if let (Some(&i), Some(&j)) = (src_index.get(&c.source), tgt_index.get(&c.target)) {
             // Keep the best value if duplicates appear.
@@ -117,42 +194,6 @@ fn mapping_to_matrix(
         }
     }
     m
-}
-
-impl Matcher for SchemaMatcher {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Reads the repository: never cached across executions.
-    fn pure(&self) -> bool {
-        false
-    }
-
-    fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let (rows, cols) = (ctx.rows(), ctx.cols());
-        let Some(repo) = ctx.repository else {
-            return SimMatrix::new(rows, cols);
-        };
-        let pairs = repo.pivot_pairs(ctx.source.name(), ctx.target.name(), |m| {
-            self.kind_filter.is_none_or(|k| m.kind == k)
-        });
-        if pairs.is_empty() {
-            return SimMatrix::new(rows, cols);
-        }
-        let src_index: HashMap<String, usize> =
-            (0..rows).map(|i| (ctx.source_full_name(i), i)).collect();
-        let tgt_index: HashMap<String, usize> =
-            (0..cols).map(|j| (ctx.target_full_name(j), j)).collect();
-
-        let mut cube = SimCube::new();
-        for (k, (first, second)) in pairs.iter().enumerate() {
-            let composed = match_compose(first, second, self.compose);
-            let slice = mapping_to_matrix(&composed, &src_index, &tgt_index, rows, cols);
-            cube.push(format!("compose-{k}"), slice);
-        }
-        self.aggregation.aggregate(&cube)
-    }
 }
 
 /// Why one pivot path was (or was not) preferred by the [`ReuseResolver`]:
@@ -205,17 +246,18 @@ pub struct ReuseResolution {
 }
 
 /// Transitive reuse over stored-mapping chains: walks the repository's
-/// mapping graph ([`Repository::pivot_chains`]), MatchComposes every
+/// mapping graph ([`Repository::pivot_paths`]), MatchComposes every
 /// pivot path up to [`ReuseResolver::max_hops`] mappings long, scores the
 /// paths (length, coverage, vocabulary overlap), and merges them into one
 /// candidate [`Mapping`] from the minimal-hop paths.
 ///
-/// Unlike the single-pivot [`SchemaMatcher`] — which renders every
-/// composed mapping as one cube slice and Average-aggregates with
-/// missing pairs as 0 — the resolver averages only over the chains that
-/// witness a pair, and never merges a longer chain when a shorter path
-/// exists. Longer budgets unlock pivots only reachable through several
-/// stored results (S1↔A ∘ A↔B ∘ B↔S2) without diluting direct pivots.
+/// The merge is the [`SchemaMatcher`]'s, with one difference: the
+/// resolver averages a pair only over the chains that witness it, where
+/// SchemaM/SchemaA count a missing pair as 0 to dampen false n:m matches
+/// (Section 7.3). The resolver also never merges a longer chain when a
+/// shorter path exists. Longer budgets unlock pivots only reachable
+/// through several stored results (S1↔A ∘ A↔B ∘ B↔S2) without diluting
+/// direct pivots.
 pub struct ReuseResolver {
     /// Restricts which stored mappings qualify (`None` = all).
     pub kind_filter: Option<MappingKind>,
@@ -253,17 +295,12 @@ impl ReuseResolver {
             .map(|path| path.pivots.iter().flat_map(|p| tokens.of(p)).collect())
             .collect();
         let task_vocab = TaskVocab::new(tokens.len(), source_vocab.iter().chain(&target_vocab));
-        let combine = |a, b| self.compose.apply(a, b);
 
         let mut composed: Vec<(Mapping, ReusePathStats)> = paths
             .iter()
             .zip(&pivot_vocabs)
             .map(|(path, pivot_vocab)| {
-                // A pivot path has at least two hops (one pivot).
-                let mut acc = compose_oriented(path.hops[0], path.hops[1], combine);
-                for &hop in &path.hops[2..] {
-                    acc = compose_oriented((&acc, false), hop, combine);
-                }
+                let acc = compose_path(path, self.compose);
                 let hop_ids = path.hops.iter().flat_map(|(hop, _)| {
                     let (_, ids) = hop_vocabs
                         .iter()
@@ -293,33 +330,13 @@ impl ReuseResolver {
         // shows what was rejected) but never merged when a shorter path
         // exists: on the evaluation corpus, folding 3-hop compositions of
         // automatic results into the merge costs ~0.1 F-measure, and
-        // zero-filling non-witnessing chains (the SchemaMatcher's slice
-        // semantics) drags multi-path merges below the 0.5 selection
-        // threshold. `max_hops` is a search budget for sparse graphs, not
-        // an instruction to dilute short paths with long ones.
+        // zero-filling non-witnessing chains (SchemaM's merge) drags
+        // multi-path merges below the 0.5 selection threshold. `max_hops`
+        // is a search budget for sparse graphs, not an instruction to
+        // dilute short paths with long ones.
         let min_hops = composed.first().map_or(0, |(_, s)| s.hops);
-        let mut sums: HashMap<(String, String), (f64, f64)> = HashMap::new();
-        let mut order: Vec<(String, String)> = Vec::new();
-        for (m, _) in composed.iter().filter(|(_, s)| s.hops == min_hops) {
-            for c in &m.correspondences {
-                let key = (c.source.clone(), c.target.clone());
-                match sums.get_mut(&key) {
-                    Some(sum) => {
-                        sum.0 += c.similarity;
-                        sum.1 += 1.0;
-                    }
-                    None => {
-                        sums.insert(key.clone(), (c.similarity, 1.0));
-                        order.push(key);
-                    }
-                }
-            }
-        }
-        let mut mapping = Mapping::new(source, target, MappingKind::Automatic);
-        for key in order {
-            let (sum, count) = sums[&key];
-            mapping.push(key.0, key.1, sum / count);
-        }
+        let minimal = composed.iter().filter(|(_, s)| s.hops == min_hops);
+        let mapping = merge_chains(source, target, minimal.map(|(m, _)| m), false);
         let stats = ReuseStats {
             max_hops: self.max_hops,
             paths: composed.into_iter().map(|(_, s)| s).collect(),
@@ -332,10 +349,9 @@ impl ReuseResolver {
     /// as a similarity matrix over the task's paths. Without a repository
     /// the matrix is zero and `stats.paths` is empty.
     pub fn compute(&self, ctx: &MatchContext<'_>) -> (SimMatrix, ReuseStats) {
-        let (rows, cols) = (ctx.rows(), ctx.cols());
         let Some(repo) = ctx.repository else {
             return (
-                SimMatrix::new(rows, cols),
+                SimMatrix::new(ctx.rows(), ctx.cols()),
                 ReuseStats {
                     max_hops: self.max_hops,
                     paths: Vec::new(),
@@ -344,12 +360,7 @@ impl ReuseResolver {
             );
         };
         let resolution = self.resolve(repo, ctx.source.name(), ctx.target.name());
-        let src_index: HashMap<String, usize> =
-            (0..rows).map(|i| (ctx.source_full_name(i), i)).collect();
-        let tgt_index: HashMap<String, usize> =
-            (0..cols).map(|j| (ctx.target_full_name(j), j)).collect();
-        let matrix = mapping_to_matrix(&resolution.mapping, &src_index, &tgt_index, rows, cols);
-        (matrix, resolution.stats)
+        (render(ctx, &resolution.mapping), resolution.stats)
     }
 }
 
@@ -704,6 +715,22 @@ mod tests {
         let ctx = MatchContext::new(&s1, &s3, &p1, &p3, &aux);
         let m = SchemaMatcher::manual().compute(&ctx);
         assert!(m.values().iter().all(|&v| v == 0.0));
+    }
+
+    /// Both sides named alike: no pivot chain exists, as for the `Reuse`
+    /// leaf, so a stored `PO1↔PO2` is not composed with its own reverse.
+    #[test]
+    fn schema_matcher_finds_no_chain_between_same_named_schemas() {
+        let s = contact_schema("PO1", &["Name", "Email"]);
+        let p = PathSet::new(&s).unwrap();
+        let aux = Auxiliary::standard();
+        let repo = figure3_repo();
+        let ctx = MatchContext::new(&s, &s, &p, &p, &aux).with_repository(&repo);
+        let m = SchemaMatcher::manual().compute(&ctx);
+        assert!(m.values().iter().all(|&v| v == 0.0));
+        let (resolved, stats) = ReuseResolver::new(Some(MappingKind::Manual), 2).compute(&ctx);
+        assert!(resolved.values().iter().all(|&v| v == 0.0));
+        assert!(stats.paths.is_empty());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * **similarity cubes** produced by matcher executions ([`StoredCube`]),
 //!
 //! plus the queries the reuse matchers need: [`Repository::mappings_between`]
-//! and [`Repository::pivot_pairs`] (the "search repository" step of
-//! Figure 5), and the natural-join primitive [`Mapping::compose`] that
-//! underlies the MatchCompose operation (Section 5.1).
+//! and [`Repository::pivot_paths`] (the "search repository" step of
+//! Figure 5, generalized to chains of pivots), and the natural-join
+//! primitive [`Mapping::compose`] that underlies the MatchCompose
+//! operation (Section 5.1).
 //!
 //! Persistence is pluggable behind [`RepositoryBackend`] — the embedded
 //! stand-in for the paper's external DBMS (see the "Repository backends"

@@ -129,18 +129,6 @@ impl Mapping {
         (self.source_schema == a && self.target_schema == b)
             || (self.source_schema == b && self.target_schema == a)
     }
-
-    /// Returns this mapping oriented as `source → target`, reversing if
-    /// necessary; `None` if it does not relate the two schemas.
-    pub fn oriented(&self, source: &str, target: &str) -> Option<Mapping> {
-        if self.source_schema == source && self.target_schema == target {
-            Some(self.clone())
-        } else if self.source_schema == target && self.target_schema == source {
-            Some(self.reversed())
-        } else {
-            None
-        }
-    }
 }
 
 /// A correspondence's (from, to) element names, read forward or reversed.
@@ -295,15 +283,6 @@ mod tests {
         assert_eq!(r.source_schema, "PO2");
         assert_eq!(r.correspondences[0].source, "PO2.Contact.e-mail");
         assert_eq!(r.reversed(), m1);
-    }
-
-    #[test]
-    fn oriented_matches_both_directions() {
-        let (m1, _) = figure3();
-        assert!(m1.oriented("PO1", "PO2").is_some());
-        let rev = m1.oriented("PO2", "PO1").unwrap();
-        assert_eq!(rev.source_schema, "PO2");
-        assert!(m1.oriented("PO1", "PO9").is_none());
     }
 
     /// Reading an operand reversed composes exactly like its reversed

@@ -159,7 +159,7 @@ impl Repository {
     /// Stores a match result, replacing any previously stored mapping for
     /// the same `(source, target, kind)` key — re-matching a pair updates
     /// the stored result instead of silently doubling the reuse inputs
-    /// ([`Repository::pivot_pairs`] would otherwise emit duplicate pivot
+    /// ([`Repository::pivot_chains`] would otherwise emit duplicate pivot
     /// chains). Manual and automatic results for the same pair coexist:
     /// confirming a match never discards the raw automatic one.
     pub fn put_mapping(&mut self, mapping: Mapping) {
@@ -197,67 +197,25 @@ impl Repository {
         removed
     }
 
-    /// The "search repository" step of the Schema reuse matcher (Figure 5):
-    /// finds every pivot schema `S` such that the repository holds match
-    /// results relating `S` with both `source` and `target` (in any order),
-    /// and returns the mapping pairs oriented as `source↔S` and `S↔target`,
-    /// ready for MatchCompose.
-    ///
-    /// A filter lets the caller restrict which stored mappings qualify
-    /// (e.g. only manually confirmed ones for `SchemaM`).
-    pub fn pivot_pairs(
-        &self,
-        source: &str,
-        target: &str,
-        filter: impl Fn(&Mapping) -> bool,
-    ) -> Vec<(Mapping, Mapping)> {
-        let mut pivots: Vec<&str> = Vec::new();
-        for m in &self.mappings {
-            for s in [m.source_schema.as_str(), m.target_schema.as_str()] {
-                if s != source && s != target && !pivots.contains(&s) {
-                    pivots.push(s);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for pivot in pivots {
-            let firsts: Vec<Mapping> = self
-                .mappings
-                .iter()
-                .filter(|m| filter(m))
-                .filter_map(|m| m.oriented(source, pivot))
-                .collect();
-            let seconds: Vec<Mapping> = self
-                .mappings
-                .iter()
-                .filter(|m| filter(m))
-                .filter_map(|m| m.oriented(pivot, target))
-                .collect();
-            for f in &firsts {
-                for s in &seconds {
-                    out.push((f.clone(), s.clone()));
-                }
-            }
-        }
-        out
-    }
-
-    /// The generalization of [`Repository::pivot_pairs`] to transitive
-    /// *chains*: every simple path `source → P1 → … → Pk → target` through
-    /// the stored-mapping graph with between 2 and `max_hops` mappings,
-    /// each hop oriented forward and ready for repeated MatchCompose.
+    /// The "search repository" step of the Schema reuse matcher (Figure 5),
+    /// generalized to transitive *chains*: every simple path `source → P1
+    /// → … → Pk → target` through the stored-mapping graph with between 2
+    /// and `max_hops` mappings, each hop oriented forward and ready for
+    /// repeated MatchCompose. A filter restricts which stored mappings
+    /// qualify (e.g. only manually confirmed ones for `SchemaM`).
     ///
     /// The walk is over schema *names* (two schemas are adjacent when any
     /// qualifying stored mapping relates them); for every node path, all
     /// combinations of qualifying oriented mappings per hop are emitted.
     /// Paths are simple — no pivot repeats and neither endpoint appears
     /// as an intermediate — so a direct `source↔target` mapping is never
-    /// part of a chain (that is a stored *result*, not reuse). Adjacency
-    /// is kept in sorted maps, making the enumeration order
-    /// deterministic regardless of mapping insertion order.
+    /// part of a chain (that is a stored *result*, not reuse), and a task
+    /// whose two sides carry the same name has no chain. Adjacency is kept
+    /// in sorted maps, making the enumeration order deterministic
+    /// regardless of mapping insertion order.
     ///
-    /// With `max_hops = 2` the emitted chains are exactly
-    /// [`Repository::pivot_pairs`]'s single-pivot pairs.
+    /// With `max_hops = 2` the chains are the single-pivot pairs
+    /// `source↔S`, `S↔target` of Figure 5.
     pub fn pivot_chains(
         &self,
         source: &str,
@@ -523,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn pivot_pairs_finds_all_orientations() {
+    fn pivot_chains_with_two_hops_find_all_orientations() {
         // Figure 5: S1↔Si, S2↔Si; S1↔Sj, Sj↔S2; Sk↔S1, S2↔Sk.
         let mut repo = Repository::new();
         repo.put_mapping(mapping("S1", "Si", MappingKind::Manual));
@@ -532,52 +490,34 @@ mod tests {
         repo.put_mapping(mapping("Sj", "S2", MappingKind::Manual));
         repo.put_mapping(mapping("Sk", "S1", MappingKind::Manual));
         repo.put_mapping(mapping("S2", "Sk", MappingKind::Manual));
-        let pairs = repo.pivot_pairs("S1", "S2", |_| true);
-        assert_eq!(pairs.len(), 3);
-        for (first, second) in &pairs {
+        let chains = repo.pivot_chains("S1", "S2", 2, |_| true);
+        assert_eq!(chains.len(), 3);
+        for chain in &chains {
+            assert_eq!(chain.hops.len(), 2);
+            let (first, second) = (&chain.hops[0], &chain.hops[1]);
             assert_eq!(first.source_schema, "S1");
             assert_eq!(first.target_schema, second.source_schema);
             assert_eq!(second.target_schema, "S2");
+            assert_eq!(chain.pivots, vec![first.target_schema.clone()]);
         }
     }
 
     #[test]
-    fn pivot_pairs_respects_filter() {
+    fn pivot_chains_with_two_hops_respect_filter() {
         let mut repo = Repository::new();
         repo.put_mapping(mapping("S1", "Si", MappingKind::Manual));
         repo.put_mapping(mapping("Si", "S2", MappingKind::Automatic));
-        let manual_only = repo.pivot_pairs("S1", "S2", |m| m.kind == MappingKind::Manual);
+        let manual_only = repo.pivot_chains("S1", "S2", 2, |m| m.kind == MappingKind::Manual);
         assert!(manual_only.is_empty());
-        let all = repo.pivot_pairs("S1", "S2", |_| true);
+        let all = repo.pivot_chains("S1", "S2", 2, |_| true);
         assert_eq!(all.len(), 1);
     }
 
     #[test]
-    fn pivot_pairs_excludes_direct_mappings() {
+    fn pivot_chains_with_two_hops_exclude_direct_mappings() {
         let mut repo = Repository::new();
         repo.put_mapping(mapping("S1", "S2", MappingKind::Manual));
-        assert!(repo.pivot_pairs("S1", "S2", |_| true).is_empty());
-    }
-
-    #[test]
-    fn pivot_chains_with_two_hops_match_pivot_pairs() {
-        let mut repo = Repository::new();
-        repo.put_mapping(mapping("S1", "Si", MappingKind::Manual));
-        repo.put_mapping(mapping("S2", "Si", MappingKind::Manual));
-        repo.put_mapping(mapping("S1", "Sj", MappingKind::Manual));
-        repo.put_mapping(mapping("Sj", "S2", MappingKind::Manual));
-        repo.put_mapping(mapping("Sk", "S1", MappingKind::Manual));
-        repo.put_mapping(mapping("S2", "Sk", MappingKind::Manual));
-        let pairs = repo.pivot_pairs("S1", "S2", |_| true);
-        let chains = repo.pivot_chains("S1", "S2", 2, |_| true);
-        assert_eq!(chains.len(), pairs.len());
-        for chain in &chains {
-            assert_eq!(chain.pivots.len(), 1);
-            assert_eq!(chain.hops.len(), 2);
-            assert!(pairs
-                .iter()
-                .any(|(f, s)| *f == chain.hops[0] && *s == chain.hops[1]));
-        }
+        assert!(repo.pivot_chains("S1", "S2", 2, |_| true).is_empty());
     }
 
     #[test]

@@ -21,8 +21,8 @@ use coma::core::plans::{
     candidate_index_plan, fused_filter_plan, liberal_name_stage, topk_pruned_plan,
 };
 use coma::core::{
-    Coma, EngineConfig, MatchContext, MatchPlan, PlanAnalyzer, PlanEngine, SchemaStats, TaskStats,
-    TopKPer, Tri, VocabIndex,
+    Coma, EngineConfig, MatchContext, MatchPlan, MatchStrategy, PlanAnalyzer, PlanEngine,
+    SchemaStats, TaskStats, TopKPer, Tri, VocabIndex,
 };
 use coma::graph::{PathSet, Schema};
 use coma::repo::{Mapping, MappingKind, Repository};
@@ -206,6 +206,49 @@ fn peak_bound_covers_repeated_execution() {
             analysis.peak_bytes
         );
     }
+}
+
+/// The bound holds for a flat `SchemaM` strategy however many pivots the
+/// repository holds: 60 manual pivots `Pk`, each carrying one
+/// correspondence `S.root → Pk.x → T.root`, merge into the one matrix the
+/// analyzer charges, not into one matrix per pivot.
+#[test]
+fn peak_bound_covers_schema_reuse_over_many_pivots() {
+    let _window = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
+    let spec = WorkloadSpec::new(WorkloadShape::Star, 300, 11);
+    let (source, target) = generate_task(&spec);
+    let source_paths = PathSet::new(&source).unwrap();
+    let target_paths = PathSet::new(&target).unwrap();
+    let source_root = source_paths.full_name(&source, source_paths.root());
+    let target_root = target_paths.full_name(&target, target_paths.root());
+    let mut coma = Coma::new();
+    for k in 0..60 {
+        let pivot = format!("P{k}");
+        let mut first = Mapping::new(source.name(), &pivot, MappingKind::Manual);
+        first.push(&source_root, format!("{pivot}.x"), 1.0);
+        coma.repository_mut().put_mapping(first);
+        let mut second = Mapping::new(&pivot, target.name(), MappingKind::Manual);
+        second.push(format!("{pivot}.x"), &target_root, 1.0);
+        coma.repository_mut().put_mapping(second);
+    }
+    let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, coma.aux())
+        .with_repository(coma.repository());
+    let stats = TaskStats::gather(&ctx);
+    let plan = MatchPlan::from(MatchStrategy::with_matchers(["SchemaM"]));
+    let analysis =
+        PlanAnalyzer::new(coma.library(), EngineConfig::default()).analyze(&plan, &stats);
+    assert!(!analysis.has_errors(), "{}", analysis.render());
+    let engine = PlanEngine::new(coma.library());
+    let (peak, outcome) = measure_peak(|| engine.execute(&ctx, &plan));
+    let outcome = outcome.unwrap();
+    // Every chain witnesses root ↔ root: the reuse is real, not empty.
+    let (i, j) = (source_paths.root().index(), target_paths.root().index());
+    assert_eq!(outcome.stages[0].cube.slice(0).get(i, j), 1.0);
+    assert!(
+        (peak as u64) <= analysis.peak_bytes,
+        "measured {peak} > predicted {}",
+        analysis.peak_bytes
+    );
 }
 
 /// `NodeFacts::shards_estimate` is an upper bound of what executes (as

@@ -3,11 +3,21 @@
 //! variants obey their ordering bounds on `[0, 1]`, chains with an empty
 //! pivot intersection compose to empty mappings without panicking, and
 //! every composed candidate is supported by a pivot path — with exactly
-//! the similarity the combine rule assigns to its best support.
+//! the similarity the combine rule assigns to its best support. The
+//! `SchemaM`/`SchemaA` reuse matchers (Section 5.2) equal, bit for bit,
+//! one Average-aggregated slice per composed pivot pair, on random
+//! repositories and on the evaluation corpus.
 
-use coma::core::{match_compose, ComposeCombine};
-use coma::repo::{Mapping, MappingKind};
+use coma::core::{
+    match_compose, Aggregation, Auxiliary, ComposeCombine, MatchContext, Matcher, SchemaMatcher,
+    SimCube, SimMatrix,
+};
+use coma::eval::experiment::Harness;
+use coma::eval::{task_label, TASKS};
+use coma::graph::{Node, PathSet, Schema, SchemaBuilder};
+use coma::repo::{Mapping, MappingKind, Repository};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const COMBINES: [ComposeCombine; 4] = [
     ComposeCombine::Average,
@@ -35,9 +45,9 @@ fn mapping(source: &str, target: &str, triples: &Triples) -> Mapping {
     m
 }
 
-/// A deterministic shuffle of `triples` driven by `seed`.
-fn shuffled(triples: &Triples, seed: u64) -> Triples {
-    let mut out = triples.clone();
+/// A deterministic shuffle of `items` driven by `seed`.
+fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
+    let mut out = items.to_vec();
     let mut state = seed | 1;
     for i in (1..out.len()).rev() {
         // SplitMix64 step; any well-mixed generator works here.
@@ -170,6 +180,241 @@ proptest! {
                 expected,
                 "{combine:?} candidates must be exactly the pivot-supported pairs"
             );
+        }
+    }
+}
+
+/// A task side or pivot: a root named `name` over the leaves `e0`..`e3`.
+fn four_leaf_schema(name: &str) -> Schema {
+    let mut b = SchemaBuilder::new(name);
+    let root = b.add_node(Node::new(name));
+    for k in 0..4 {
+        let leaf = b.add_node(Node::new(format!("e{k}")));
+        b.add_child(root, leaf).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// One stored mapping between a pivot and a task side: whether it links
+/// the target (else the source), whether it is stored pivot-first, whether
+/// it is automatic (else manual), each as 0/1, and its (task element,
+/// pivot element, similarity) triples. Task element `e4` names no path.
+type Link = (usize, usize, usize, Triples);
+
+/// A repository over the task `S ↔ T` with one pivot `Pk` per entry of
+/// `pivots`, plus `P{a} → P{b}` bridges and an optional direct `S → T`
+/// result, inserted in an order shuffled by `seed`. A leading `P{n-1} →
+/// X` mapping makes the pivots' first appearance differ from their name
+/// order.
+fn pivot_repository(
+    pivots: &[Vec<Link>],
+    bridges: &[(usize, usize, f64)],
+    direct: bool,
+    seed: u64,
+) -> Repository {
+    let mut stored = Vec::new();
+    for (p, links) in pivots.iter().enumerate() {
+        let pivot = format!("P{p}");
+        let mut first_kind = MappingKind::Manual;
+        for (k, (to_target, pivot_first, automatic, triples)) in links.iter().enumerate() {
+            // The first two links join the pivot to both task sides in one
+            // kind, so every pivot carries a chain.
+            let to_target = if k < 2 { k == 1 } else { *to_target == 1 };
+            let kind = match (k, automatic) {
+                (1, _) => first_kind,
+                (_, 0) => MappingKind::Manual,
+                _ => MappingKind::Automatic,
+            };
+            if k == 0 {
+                first_kind = kind;
+            }
+            let task = if to_target { "T" } else { "S" };
+            let pivot_first = *pivot_first == 1;
+            let mut m = if pivot_first {
+                Mapping::new(&pivot, task, kind)
+            } else {
+                Mapping::new(task, &pivot, kind)
+            };
+            for &(t, q, sim) in triples {
+                let (task_end, pivot_end) = (format!("{task}.e{t}"), format!("{pivot}.e{q}"));
+                if pivot_first {
+                    m.push(pivot_end, task_end, sim);
+                } else {
+                    m.push(task_end, pivot_end, sim);
+                }
+            }
+            stored.push(m);
+        }
+    }
+    for &(a, b, sim) in bridges {
+        if a != b && a < pivots.len() && b < pivots.len() {
+            let mut m = Mapping::new(format!("P{a}"), format!("P{b}"), MappingKind::Manual);
+            m.push(format!("P{a}.e0"), format!("P{b}.e0"), sim);
+            stored.push(m);
+        }
+    }
+    if direct {
+        let mut m = Mapping::new("S", "T", MappingKind::Manual);
+        m.push("S.e0", "T.e0", 1.0);
+        stored.push(m);
+    }
+    let mut repo = Repository::new();
+    let last = format!("P{}", pivots.len() - 1);
+    let mut lead = Mapping::new(&last, "X", MappingKind::Manual);
+    lead.push(format!("{last}.e0"), "X.e0", 1.0);
+    repo.put_mapping(lead);
+    for m in shuffled(&stored, seed) {
+        repo.put_mapping(m);
+    }
+    repo
+}
+
+/// SchemaM/SchemaA computed one slice per pivot pair, the oracle for
+/// their merged chains: pivots in the order they first appear among the
+/// stored mappings (each mapping's source name, then its target name);
+/// per pivot, every qualifying `source↔pivot` × `pivot↔target` pair,
+/// oriented and MatchComposed into a dense slice of its own; the slices
+/// Average-aggregated, a pair missing from a slice counting as 0.
+fn slice_per_pivot_pair(
+    ctx: &MatchContext<'_>,
+    kind: MappingKind,
+    combine: ComposeCombine,
+) -> SimMatrix {
+    let repo = ctx.repository.expect("the oracle reads a repository");
+    let (source, target) = (ctx.source.name(), ctx.target.name());
+    let mut pivots: Vec<&str> = Vec::new();
+    for m in repo.mappings() {
+        for name in [m.source_schema.as_str(), m.target_schema.as_str()] {
+            if name != source && name != target && !pivots.contains(&name) {
+                pivots.push(name);
+            }
+        }
+    }
+    let oriented = |from: &str, to: &str| -> Vec<Mapping> {
+        repo.mappings()
+            .iter()
+            .filter(|m| m.kind == kind)
+            .filter_map(|m| {
+                if m.source_schema == from && m.target_schema == to {
+                    Some(m.clone())
+                } else if m.source_schema == to && m.target_schema == from {
+                    Some(m.reversed())
+                } else {
+                    None
+                }
+            })
+            .collect()
+    };
+    let (rows, cols) = (ctx.rows(), ctx.cols());
+    let row_of: HashMap<String, usize> = (0..rows).map(|i| (ctx.source_full_name(i), i)).collect();
+    let col_of: HashMap<String, usize> = (0..cols).map(|j| (ctx.target_full_name(j), j)).collect();
+    let mut cube = SimCube::new();
+    for pivot in pivots {
+        for first in oriented(source, pivot) {
+            for second in oriented(pivot, target) {
+                let mut slice = SimMatrix::new(rows, cols);
+                for c in &match_compose(&first, &second, combine).correspondences {
+                    if let (Some(&i), Some(&j)) = (row_of.get(&c.source), col_of.get(&c.target)) {
+                        if c.similarity > slice.get(i, j) {
+                            slice.set(i, j, c.similarity);
+                        }
+                    }
+                }
+                cube.push(format!("compose-{}", cube.len()), slice);
+            }
+        }
+    }
+    if cube.is_empty() {
+        return SimMatrix::new(rows, cols);
+    }
+    Aggregation::Average.aggregate(&cube)
+}
+
+/// The first cell in which SchemaM or SchemaA, under any
+/// `ComposeCombine`, differs from the oracle in any bit.
+fn first_difference(ctx: &MatchContext<'_>) -> Option<String> {
+    for combine in COMBINES {
+        for (kind, mut matcher) in [
+            (MappingKind::Manual, SchemaMatcher::manual()),
+            (MappingKind::Automatic, SchemaMatcher::automatic()),
+        ] {
+            matcher.compose = combine;
+            let got = matcher.compute(ctx);
+            let want = slice_per_pivot_pair(ctx, kind, combine);
+            for i in 0..ctx.rows() {
+                for j in 0..ctx.cols() {
+                    let (g, w) = (got.get(i, j), want.get(i, j));
+                    if g.to_bits() != w.to_bits() {
+                        return Some(format!(
+                            "{} {combine:?} cell ({i}, {j}): {g:e}, oracle {w:e}",
+                            matcher.name()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+proptest! {
+    #[test]
+    fn schema_reuse_equals_one_slice_per_pivot_pair(
+        pivots in proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    0usize..2,
+                    0usize..2,
+                    0usize..2,
+                    proptest::collection::vec((0usize..5, 0usize..3, 0.0f64..=1.0), 0..5),
+                ),
+                2..6,
+            ),
+            3..7,
+        ),
+        bridges in proptest::collection::vec((0usize..7, 0usize..7, 0.0f64..=1.0), 0..4),
+        direct in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let repo = pivot_repository(&pivots, &bridges, direct == 1, seed);
+        let (source, target) = (four_leaf_schema("S"), four_leaf_schema("T"));
+        let (source_paths, target_paths) =
+            (PathSet::new(&source).unwrap(), PathSet::new(&target).unwrap());
+        let aux = Auxiliary::standard();
+        let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, &aux)
+            .with_repository(&repo);
+        let difference = first_difference(&ctx);
+        prop_assert!(difference.is_none(), "{}", difference.unwrap_or_default());
+    }
+}
+
+/// The same oracle on the evaluation corpus: SchemaM and SchemaA over the
+/// harness repository (the gold mappings and the default operation's
+/// results) on all ten tasks.
+#[test]
+fn schema_reuse_equals_one_slice_per_pivot_pair_on_the_corpus() {
+    let harness = Harness::new();
+    let corpus = harness.corpus();
+    for &(i, j) in &TASKS {
+        let ctx = MatchContext::new(
+            corpus.schema(i),
+            corpus.schema(j),
+            corpus.path_set(i),
+            corpus.path_set(j),
+            corpus.aux(),
+        )
+        .with_repository(harness.repository());
+        assert!(
+            SchemaMatcher::automatic()
+                .compute(&ctx)
+                .values()
+                .iter()
+                .any(|&v| v > 0.0),
+            "{}: SchemaA reuses nothing",
+            task_label((i, j))
+        );
+        if let Some(difference) = first_difference(&ctx) {
+            panic!("{}: {difference}", task_label((i, j)));
         }
     }
 }

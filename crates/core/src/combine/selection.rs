@@ -1,5 +1,6 @@
 use crate::cube::SimMatrix;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Step 2a: match direction (paper, Section 6.2).
@@ -84,27 +85,23 @@ impl Selection {
         self
     }
 
-    /// Selects from `ranked`, a descending-sorted list of
-    /// `(candidate index, similarity)`. Crate-visible so the engine's
-    /// fused pruned-shard execution can re-apply the selection when it
-    /// folds per-shard column pools (see `engine::PlanEngine`).
-    pub(crate) fn apply(&self, ranked: &[(usize, f64)]) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = ranked.to_vec();
+    /// Cuts `ranked`, a descending-sorted list of
+    /// `(candidate index, similarity)`, to the selected candidates.
+    fn apply(&self, ranked: &mut Vec<(usize, f64)>) {
         if let Some(t) = self.threshold {
-            out.retain(|&(_, s)| s > t);
+            ranked.retain(|&(_, s)| s > t);
         }
         if let Some(d) = self.delta {
-            if let Some(&(_, best)) = out.first() {
+            if let Some(&(_, best)) = ranked.first() {
                 let cutoff = best * (1.0 - d);
-                out.retain(|&(_, s)| s >= cutoff);
+                ranked.retain(|&(_, s)| s >= cutoff);
             }
         }
         if let Some(n) = self.max_n {
-            out.truncate(n);
+            ranked.truncate(n);
         }
         // Zero-similarity candidates are never match candidates.
-        out.retain(|&(_, s)| s > 0.0);
-        out
+        ranked.retain(|&(_, s)| s > 0.0);
     }
 }
 
@@ -189,8 +186,8 @@ impl DirectedCandidates {
                 return best_of(entries);
             }
             let mut ranked: Vec<(usize, f64)> = entries.filter(|&(_, s)| s > floor).collect();
-            sort_desc(&mut ranked);
-            selection.apply(&ranked)
+            rank_entries(&mut ranked, selection);
+            ranked
         }
 
         if matrix.is_sparse() {
@@ -296,7 +293,13 @@ impl DirectedCandidates {
 ///
 /// [`PairMask::top_k_of`]: crate::engine::PairMask::top_k_of
 pub(crate) fn sort_desc(ranked: &mut [(usize, f64)]) {
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    ranked.sort_by(desc);
+}
+
+/// The order of [`sort_desc`]: a strict total order over entries with
+/// distinct indices, so any sort or partition by it agrees.
+fn desc(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
 }
 
 /// Which directional candidate lists `direction` computes for an `m × n`
@@ -320,25 +323,25 @@ pub(crate) fn directional_wants(direction: Direction, m: usize, n: usize) -> (bo
     (want_for_targets, want_for_sources)
 }
 
-/// Ranks one element's `(index, similarity)` entries and applies
-/// `selection` — the exact per-element ranking inside
-/// [`DirectedCandidates::select`], exposed for the engine's fused
-/// pruned-shard execution. Zero and sub-threshold cells may be omitted
-/// from `entries` with an identical outcome: they sort behind every
-/// kept candidate and the final `apply` drops them regardless.
-pub(crate) fn rank_entries(
-    entries: impl Iterator<Item = (usize, f64)>,
-    selection: &Selection,
-) -> Vec<(usize, f64)> {
-    let fast_max1 =
-        selection.max_n == Some(1) && selection.delta.is_none() && selection.threshold.is_none();
-    if fast_max1 {
-        return best_of(entries);
-    }
+/// Ranks one element's `(index, similarity)` entries, distinct in
+/// index and in any order, and cuts them in place to what `selection`
+/// keeps, best first: the per-element ranking of
+/// [`DirectedCandidates::select`], shared with the engine's row-shard
+/// workers (their row selections, column-pool folds and the candidate
+/// index's per-element cap). Zero and sub-threshold cells may be omitted
+/// from `ranked` with an identical outcome: they sort behind every kept
+/// candidate and are dropped regardless.
+pub(crate) fn rank_entries(ranked: &mut Vec<(usize, f64)>, selection: &Selection) {
     let floor = selection.threshold.unwrap_or(f64::NEG_INFINITY);
-    let mut ranked: Vec<(usize, f64)> = entries.filter(|&(_, s)| s > floor).collect();
-    sort_desc(&mut ranked);
-    selection.apply(&ranked)
+    ranked.retain(|&(_, s)| s > floor);
+    // At most `max_n` survive: move the best to the front in linear
+    // time and sort only those.
+    if let Some(k) = selection.max_n.filter(|&k| k < ranked.len()) {
+        ranked.select_nth_unstable_by(k, desc);
+        ranked.truncate(k);
+    }
+    sort_desc(ranked);
+    selection.apply(ranked);
 }
 
 /// The single best nonzero candidate (strictly greater wins, so the first

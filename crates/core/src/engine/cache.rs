@@ -534,15 +534,20 @@ mod tests {
     #[test]
     fn cross_request_cache_reuses_work_and_preserves_results() {
         let coma = crate::process::Coma::new();
-        let (s1, _) = schema("PO1", &["shipTo", "billTo", "poNo", "city"]);
-        let (s2, _) = schema("PO2", &["deliverTo", "invoiceTo", "orderNum", "town"]);
+        let (s1, p1) = schema("PO1", &["shipTo", "billTo", "poNo", "city"]);
+        let (s2, p2) = schema("PO2", &["deliverTo", "invoiceTo", "orderNum", "town"]);
         let plan = crate::engine::MatchPlan::from(&crate::process::MatchStrategy::paper_default());
         let cfg = crate::engine::EngineConfig::default;
         let cache = Arc::new(EngineCache::new());
+        let engine = crate::engine::PlanEngine::with_config(coma.library(), cfg());
+        let task = |source, source_paths| {
+            crate::matchers::context::MatchContext::new(source, &s2, source_paths, &p2, coma.aux())
+                .with_repository(coma.repository())
+        };
 
         let uncached = coma.match_plan_with(cfg(), &s1, &s2, &plan).unwrap();
-        let first = coma
-            .match_plan_cached(cfg(), &s1, &s2, &plan, &cache)
+        let first = engine
+            .execute_cached(&task(&s1, &p1), &plan, &cache)
             .unwrap();
         assert_eq!(
             first.result, uncached.result,
@@ -553,9 +558,9 @@ mod tests {
 
         // A *different allocation* with identical content hits the cache:
         // no new matrix is ever computed.
-        let (s1b, _) = schema("PO1", &["shipTo", "billTo", "poNo", "city"]);
-        let second = coma
-            .match_plan_cached(cfg(), &s1b, &s2, &plan, &cache)
+        let (s1b, p1b) = schema("PO1", &["shipTo", "billTo", "poNo", "city"]);
+        let second = engine
+            .execute_cached(&task(&s1b, &p1b), &plan, &cache)
             .unwrap();
         assert_eq!(second.result, first.result);
         let after_second = cache.stats();

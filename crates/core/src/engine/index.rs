@@ -34,7 +34,9 @@
 //! search knobs.
 
 use super::mask::PairMask;
-use crate::cube::{SimMatrix, SparseBuilder};
+use super::rules::ShardSink;
+use crate::combine::{rank_entries, Selection};
+use crate::cube::SimMatrix;
 use crate::matchers::context::Auxiliary;
 use crate::matchers::synonym::SynonymTable;
 use coma_strings::{ngram_set, tokenize};
@@ -364,14 +366,10 @@ impl<'a> CandidateScorer<'a> {
         mask: Option<&PairMask>,
     ) -> (Vec<SimMatrix>, Vec<(usize, usize, f64)>) {
         let n = self.target.elements();
-        let cap = self.params.per_element;
-        let fold_at = cap.map(|c| (4 * c).max(16));
-        let mut pools: Vec<Vec<(usize, f64)>> = if cap.is_some() {
-            vec![Vec::new(); n]
-        } else {
-            Vec::new()
-        };
-        let mut touched_cols: Vec<usize> = Vec::new();
+        // The cap ranks like every selection: score descending, lower
+        // index first.
+        let cap = self.params.per_element.map(Selection::max_n);
+        let mut sink = ShardSink::new(n, cap.as_ref());
 
         let mut score = vec![0.0f64; n];
         let mut tok_hits = vec![0u32; n];
@@ -380,10 +378,8 @@ impl<'a> CandidateScorer<'a> {
         let mut epoch = 0u32;
         let mut touched: Vec<u32> = Vec::new();
         let mut emit: Vec<(usize, f64)> = Vec::new();
-
-        let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
-        let mut builder = SparseBuilder::new(ranges.first().map_or(0, ExactSizeIterator::len), n);
-        for (which, range) in ranges.iter().enumerate() {
+        for range in ranges {
+            sink.begin(range);
             for i in range.clone() {
                 epoch += 1;
                 touched.clear();
@@ -447,71 +443,28 @@ impl<'a> CandidateScorer<'a> {
                     emit.push((j, s));
                 }
 
-                if let Some(cap) = cap {
-                    // Column pools see every qualifying cell (a cell the
-                    // row cap sheds may still be among its column's best).
-                    for &(j, s) in &emit {
-                        let pool = &mut pools[j];
-                        if pool.is_empty() {
-                            touched_cols.push(j);
-                        }
-                        pool.push((i, s));
-                        if fold_at.is_some_and(|limit| pool.len() >= limit) {
-                            fold_pool(pool, cap);
-                        }
-                    }
-                    if emit.len() > cap {
-                        emit.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                        emit.truncate(cap);
-                        emit.sort_unstable_by_key(|&(j, _)| j);
-                    }
-                }
-                builder.push_row(i - range.start, emit.iter().copied());
-            }
-            let next_rows = ranges.get(which + 1).map_or(0, ExactSizeIterator::len);
-            fragments.push(builder.finish_reset(next_rows));
-        }
-
-        // A pool emptied by a fold can re-touch its column; deduplicate
-        // so no cell is emitted twice.
-        touched_cols.sort_unstable();
-        touched_cols.dedup();
-        let mut pooled = Vec::new();
-        for j in touched_cols {
-            for &(i, v) in &pools[j] {
-                pooled.push((i, j, v));
+                // Column pools see every qualifying cell (a cell the row
+                // cap sheds may still be among its column's best).
+                sink.pool(i, &emit);
+                sink.store(i, &mut emit, cap.as_ref());
             }
         }
-        (fragments, pooled)
+        sink.finish()
     }
-}
-
-/// Folds a per-column candidate pool down to its `cap` best entries
-/// (score descending, row ascending on ties — the same deterministic
-/// order the global re-selection applies, so folding never sheds a cell
-/// that could still be globally kept).
-fn fold_pool(pool: &mut Vec<(usize, f64)>, cap: usize) {
-    pool.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    pool.truncate(cap);
 }
 
 /// Reduces the concatenated per-worker column pools to each column's
 /// exact `cap` best cells (every worker pool is a superset of its rows'
 /// contribution to the global best, so the union re-selects exactly).
 pub fn select_pooled(mut pooled: Vec<(usize, usize, f64)>, cap: usize) -> Vec<(usize, usize, f64)> {
-    pooled.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(b.2.total_cmp(&a.2)).then(a.0.cmp(&b.0)));
-    let mut kept = Vec::new();
-    let mut col = usize::MAX;
-    let mut taken = 0usize;
-    for (i, j, v) in pooled {
-        if j != col {
-            col = j;
-            taken = 0;
-        }
-        if taken < cap {
-            kept.push((i, j, v));
-            taken += 1;
-        }
+    pooled.sort_unstable_by_key(|&(_, j, _)| j);
+    let cap = Selection::max_n(cap);
+    let (mut kept, mut column) = (Vec::new(), Vec::new());
+    for cells in pooled.chunk_by(|a, b| a.1 == b.1) {
+        column.clear();
+        column.extend(cells.iter().map(|&(i, _, v)| (i, v)));
+        rank_entries(&mut column, &cap);
+        kept.extend(column.iter().map(|&(i, v)| (i, cells[0].1, v)));
     }
     kept
 }

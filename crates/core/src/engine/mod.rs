@@ -123,9 +123,7 @@ pub use mask::PairMask;
 pub use memo::{matcher_identity, MatchMemo};
 pub use plan::{MatchPlan, PlanError, PlanErrorKind, TopKPer};
 
-use crate::combine::{
-    directional_wants, rank_entries, sort_desc, CombinationStrategy, DirectedCandidates,
-};
+use crate::combine::{directional_wants, CombinationStrategy, DirectedCandidates};
 use crate::cube::{SimCube, SimMatrix, SparseBuilder};
 use crate::error::{CoreError, Result};
 use crate::matchers::context::MatchContext;
@@ -133,6 +131,7 @@ use crate::matchers::{Matcher, MatcherLibrary};
 use crate::process::{combine_cube_with_feedback, MatchOutcome};
 use crate::result::MatchResult;
 use crate::reuse::{ReuseResolver, ReuseStats};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One materialized stage of a plan execution: the cube of similarity
@@ -355,46 +354,31 @@ impl<'l> PlanEngine<'l> {
         &self.cfg
     }
 
-    /// How many row shards an unrestricted compute over `rows` rows
-    /// should use, given the `budget` of workers it may occupy (see
-    /// [`rules::leaf_shards`]).
-    fn planned_shards(&self, rows: usize, budget: usize) -> usize {
-        rules::leaf_shards(&self.cfg, rows, budget)
-    }
-
-    /// One matcher's full (unrestricted) matrix, row-sharded across
-    /// scoped threads when the matcher supports it and the task is big
-    /// enough — assembled in row order, bit-identical to a single
+    /// One matcher's full (unrestricted) matrix, row-sharded one thread
+    /// per shard when the matcher supports it and the task is big enough
+    /// — assembled in row order, bit-identical to a single
     /// [`Matcher::compute`] call. Returns the matrix and the number of
     /// shards actually executed. `budget` is the worker budget for
-    /// automatic shard sizing (see [`PlanEngine::planned_shards`]).
+    /// automatic shard sizing (see [`rules::leaf_shards`]).
     fn compute_unrestricted(
         &self,
         ctx: MatchContext<'_>,
         matcher: &Arc<dyn Matcher>,
         budget: usize,
     ) -> (SimMatrix, usize) {
-        let shards = self.planned_shards(ctx.rows(), budget);
+        let shards = rules::leaf_shards(&self.cfg, ctx.rows(), budget);
         if shards <= 1 || !matcher.row_shardable() {
             return (matcher.compute(&ctx), 1);
         }
         let ranges = shard_ranges(ctx.rows(), shards);
-        let mut parts: Vec<Option<SimMatrix>> = (0..ranges.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, range) in parts.iter_mut().zip(&ranges) {
-                let range = range.clone();
-                scope.spawn(move || *slot = Some(matcher.compute_rows(&ctx, range)));
-            }
+        let parts = rules::run_chunks(&ranges, ranges.len(), |chunk| {
+            let parts = chunk
+                .iter()
+                .map(|rows| matcher.compute_rows(&ctx, rows.clone()));
+            parts.collect::<Vec<_>>()
         });
-        let shards = ranges.len();
-        let matrix = SimMatrix::from_row_shards(
-            ctx.cols(),
-            parts
-                .into_iter()
-                .map(|p| p.expect("every shard thread ran to completion"))
-                .collect(),
-        );
-        (matrix, shards)
+        let parts = parts.into_iter().flatten().collect();
+        (SimMatrix::from_row_shards(ctx.cols(), parts), ranges.len())
     }
 
     /// An `m × n` matrix holding a result's selected pair similarities
@@ -413,6 +397,19 @@ impl<'l> PlanEngine<'l> {
             matrix.set(i, j, v);
         }
         matrix
+    }
+
+    /// `matrix` restricted to `mask` (whose pair-space share is
+    /// `density`), stored as [`rules::sparse_storage`] decides: a CSR
+    /// copy of the allowed nonzero cells, or dense with every disallowed
+    /// cell zeroed — in place when `matrix` is owned.
+    fn masked(&self, mask: &PairMask, density: f64, matrix: Cow<'_, SimMatrix>) -> SimMatrix {
+        if rules::sparse_storage(&self.cfg, density) {
+            return mask.masked_sparse(&matrix);
+        }
+        let mut dense = matrix.into_owned().into_dense();
+        mask.apply(&mut dense);
+        dense
     }
 
     /// Executes a plan on a match task. A restriction already present on
@@ -583,11 +580,7 @@ impl<'l> PlanEngine<'l> {
                     .filter(|c| keep.allows(c.source.index(), c.target.index()))
                     .map(|c| (c.source.index(), c.target.index(), c.similarity))
                     .collect();
-                let pruned = if rules::sparse_storage(&self.cfg, keep.density()) {
-                    keep.masked_sparse(&matrix)
-                } else {
-                    keep.masked_clone(&matrix).into_dense()
-                };
+                let pruned = self.masked(&keep, keep.density(), Cow::Owned(matrix));
                 // The schema similarity is recomputed over the surviving
                 // pairs (like `Filter` does), not carried over from the
                 // pre-pruning result, so it stays consistent with the
@@ -650,11 +643,7 @@ impl<'l> PlanEngine<'l> {
                 };
                 let (mut slice, reuse_stats) = resolver.compute(&ctx);
                 if let Some(mask) = mask {
-                    if rules::sparse_storage(&self.cfg, mask.density()) {
-                        slice = mask.masked_sparse(&slice);
-                    } else {
-                        mask.apply(&mut slice);
-                    }
+                    slice = self.masked(mask, mask.density(), Cow::Owned(slice));
                 }
                 let mut cube = SimCube::new();
                 cube.push("Reuse", slice);
@@ -697,8 +686,8 @@ impl<'l> PlanEngine<'l> {
     /// Executes a `CandidateIndex` leaf: fetches (or builds — once per
     /// side and gram length, through the [`MatchMemo`]) the two
     /// vocabulary inverted indexes, then generates the candidate matrix
-    /// from shared-posting lookups, row-sharded across scoped threads
-    /// like the fused pipeline. Returns the (CSR, or dense when the
+    /// from shared-posting lookups, row-sharded through
+    /// [`rules::run_row_shards`] like the fused pipeline. Returns the (CSR, or dense when the
     /// sparse path is off) candidate matrix, the shard count, and the
     /// stage's index statistics. No `m × n` buffer or full pair scan
     /// exists anywhere on this path — cost is proportional to posting
@@ -729,7 +718,7 @@ impl<'l> PlanEngine<'l> {
         };
         let scorer = CandidateScorer::new(&source, &target, &ctx.aux.synonyms, params);
         let workers = rules::workers(&self.cfg);
-        let ranges = shard_ranges(m, self.planned_shards(m, workers));
+        let ranges = shard_ranges(m, rules::leaf_shards(&self.cfg, m, workers));
         let (row_side, pooled) = rules::run_row_shards(m, n, &ranges, workers, |chunk| {
             scorer.fill_ranges(chunk, mask)
         });
@@ -739,10 +728,8 @@ impl<'l> PlanEngine<'l> {
         // re-selected globally and unioned in — `TopKPer::Both`
         // semantics, so no element of either side is stranded.
         let survivors = match params.per_element {
-            Some(cap) if !pooled.is_empty() => {
-                merge_pooled(&row_side, index::select_pooled(pooled, cap))
-            }
-            _ => row_side,
+            Some(cap) => merge_pooled(row_side, index::select_pooled(pooled, cap)),
+            None => row_side,
         };
         let survivors = if self.cfg.sparse {
             survivors
@@ -784,37 +771,17 @@ impl<'l> PlanEngine<'l> {
         // total threads stay bounded by ~`workers` either way.
         let fan_out = workers.min(matchers.len()).max(1);
         let budget = (workers / fan_out).max(1);
-        let compute_one = |matcher: &Arc<dyn Matcher>| -> (Arc<SimMatrix>, usize) {
-            self.compute_slice(ctx, matcher, mask, budget)
-        };
-
-        let mut slots: Vec<Option<(Arc<SimMatrix>, usize)>> =
-            (0..matchers.len()).map(|_| None).collect();
-        if fan_out > 1 {
-            // At most `workers` threads, each owning a contiguous chunk of
-            // matcher slots.
-            let chunk = matchers.len().div_ceil(fan_out);
-            std::thread::scope(|scope| {
-                for (slot_chunk, matcher_chunk) in
-                    slots.chunks_mut(chunk).zip(matchers.chunks(chunk))
-                {
-                    scope.spawn(move || {
-                        for (slot, (_, matcher)) in slot_chunk.iter_mut().zip(matcher_chunk) {
-                            *slot = Some(compute_one(matcher));
-                        }
-                    });
-                }
-            });
-        } else {
-            for (slot, (_, matcher)) in slots.iter_mut().zip(&matchers) {
-                *slot = Some(compute_one(matcher));
-            }
-        }
+        let slices = rules::run_chunks(&matchers, fan_out, |chunk| {
+            let slices = chunk
+                .iter()
+                .map(|(_, matcher)| self.compute_slice(ctx, matcher, mask, budget));
+            slices.collect::<Vec<_>>()
+        });
 
         let mut cube = SimCube::new();
         let mut shards = 1;
-        for ((name, _), slot) in matchers.iter().zip(slots) {
-            let (slice, slice_shards) = slot.expect("slice computed");
+        for ((name, _), (slice, slice_shards)) in matchers.iter().zip(slices.into_iter().flatten())
+        {
             shards = shards.max(slice_shards);
             cube.push_shared(name.clone(), slice);
         }
@@ -839,72 +806,44 @@ impl<'l> PlanEngine<'l> {
         // Records the shard count of a fresh full compute; stays 1 on a
         // memo hit (the memoizing closure never runs).
         let sharded = std::cell::Cell::new(1);
-        let full_compute = || {
-            let (matrix, shards) = self.compute_unrestricted(ctx, matcher, budget);
-            sharded.set(shards);
-            matrix
+        // Unrestricted: memoize the full matrix across stages and
+        // sub-plans — the stage cube shares the memo's allocation.
+        let full = || {
+            let compute = || {
+                let (matrix, shards) = self.compute_unrestricted(ctx, matcher, budget);
+                sharded.set(shards);
+                matrix
+            };
+            match ctx.memo {
+                Some(memo) => memo.matrix(name, identity, matcher.pure(), compute),
+                None => Arc::new(compute()),
+            }
         };
-        match (mask, ctx.memo) {
-            // Unrestricted: memoize the full matrix across stages and
-            // sub-plans — the stage cube shares the memo's allocation.
-            (None, Some(memo)) => {
-                let slice = memo.matrix(name, identity, matcher.pure(), full_compute);
-                (slice, sharded.get())
-            }
-            (None, None) => {
-                let slice = Arc::new(full_compute());
-                (slice, sharded.get())
-            }
-            (Some(mask), memo) => {
-                let density = mask.density();
-                let sparse_store = rules::sparse_storage(&self.cfg, density);
-                // A full matrix computed earlier is cheaper to mask than to
-                // recompute.
-                if let Some(full) = memo.and_then(|m| m.cached_matrix(name, identity)) {
-                    let slice = Arc::new(if sparse_store {
-                        mask.masked_sparse(&full)
-                    } else {
-                        mask.masked_clone(&full)
-                    });
-                    return (slice, 1);
-                }
-                // Cell-local matchers always honor the restriction; other
-                // sparse-capable matchers (the structural ones) take the
-                // sparse path only when the mask prunes enough of the pair
-                // space to beat computing a full, memoizable matrix.
-                if rules::restricted_compute(&self.cfg, matcher.as_ref(), density) {
-                    // The matcher skips disallowed cells itself; the final
-                    // mask application is a cheap safety net for
-                    // implementations that ignore the restriction (and
-                    // normalizes the slice to the stage's storage mode).
-                    let restricted = ctx.with_restriction(mask);
-                    let out = matcher.compute(&restricted);
-                    let slice = Arc::new(if sparse_store {
-                        mask.masked_sparse(&out)
-                    } else {
-                        let mut out = out.into_dense();
-                        mask.apply(&mut out);
-                        out
-                    });
-                    (slice, 1)
-                } else {
-                    // Global matchers need the full search space for
-                    // correct set similarities; compute (and memoize)
-                    // full — row-sharded when the matcher supports it —
-                    // then mask the copy.
-                    let full = match memo {
-                        Some(m) => m.matrix(name, identity, matcher.pure(), full_compute),
-                        None => Arc::new(full_compute()),
-                    };
-                    let slice = Arc::new(if sparse_store {
-                        mask.masked_sparse(&full)
-                    } else {
-                        mask.masked_clone(&full)
-                    });
-                    (slice, sharded.get())
-                }
-            }
-        }
+        let Some(mask) = mask else {
+            return (full(), sharded.get());
+        };
+        let density = mask.density();
+        let slice = if let Some(cached) = ctx.memo.and_then(|m| m.cached_matrix(name, identity)) {
+            // A full matrix computed earlier is cheaper to mask than to
+            // recompute.
+            self.masked(mask, density, Cow::Borrowed(&cached))
+        } else if rules::restricted_compute(&self.cfg, matcher.as_ref(), density) {
+            // Cell-local matchers always honor the restriction; other
+            // sparse-capable matchers (the structural ones) take the
+            // sparse path only when the mask prunes enough of the pair
+            // space to beat computing a full, memoizable matrix. The
+            // matcher skips disallowed cells itself; masking its output is
+            // a cheap safety net for implementations that ignore the
+            // restriction (and normalizes the slice's storage).
+            let out = matcher.compute(&ctx.with_restriction(mask));
+            self.masked(mask, density, Cow::Owned(out))
+        } else {
+            // Global matchers need the full search space for correct set
+            // similarities; compute (and memoize) full — row-sharded when
+            // the matcher supports it — then mask a copy.
+            self.masked(mask, density, Cow::Borrowed(&full()))
+        };
+        (Arc::new(slice), sharded.get())
     }
 
     /// Executes a prunable stage's input: streaming-fused when
@@ -960,7 +899,6 @@ impl<'l> PlanEngine<'l> {
         let (m, n) = (ctx.rows(), ctx.cols());
         let ranges = shard_ranges(m, rules::fused_shards(&self.cfg, m));
         let shards = ranges.len().max(1);
-        let (want_for_targets, want_for_sources) = directional_wants(combination.direction, m, n);
         // Each worker runs its chunk of shards *sequentially*, so it holds
         // at most one shard's dense slices in flight; the fused budget
         // bounds the worker count (see `rules::fused_threads`).
@@ -969,20 +907,9 @@ impl<'l> PlanEngine<'l> {
         // The row-side survivors are `m × n` even when the direction
         // skipped the per-source ranking (the fragments are then empty).
         let (row_side, pooled) = rules::run_row_shards(m, n, &ranges, threads, |chunk| {
-            self.fused_worker(
-                ctx,
-                matchers,
-                combination,
-                chunk,
-                want_for_targets,
-                want_for_sources,
-            )
+            self.fused_worker(ctx, matchers, combination, chunk)
         });
-        let survivors = if pooled.is_empty() {
-            row_side
-        } else {
-            merge_pooled(&row_side, pooled)
-        };
+        let survivors = merge_pooled(row_side, pooled);
 
         // Identical to `combine_cube_with_feedback` on the full
         // aggregate: feedback is empty (`rules::fusable_leaf` requires
@@ -996,95 +923,54 @@ impl<'l> PlanEngine<'l> {
     }
 
     /// One fused worker: runs its contiguous chunk of row shards
-    /// sequentially, returning one CSR fragment per shard (the exact
-    /// per-source selection of that shard's rows) plus the pooled
-    /// per-column candidates (a selection-folded superset of the global
-    /// per-target selection, carrying global row indices).
+    /// sequentially into a [`rules::ShardSink`], storing each row's exact
+    /// per-source selection and pooling its cells per column (global row
+    /// indices) when the direction ranks candidates per target.
     fn fused_worker(
         &self,
         ctx: MatchContext<'_>,
         matchers: &[(String, Arc<dyn Matcher>)],
         combination: &CombinationStrategy,
         ranges: &[std::ops::Range<usize>],
-        want_for_targets: bool,
-        want_for_sources: bool,
-    ) -> (Vec<SimMatrix>, Vec<(usize, usize, f64)>) {
-        let n = ctx.cols();
+    ) -> rules::ShardOut {
+        let (want_for_targets, want_for_sources) =
+            directional_wants(combination.direction, ctx.rows(), ctx.cols());
         let selection = &combination.selection;
         // Cells at or below the threshold (and zeros) can never be
         // selected in either direction; drop them before ranking or
         // pooling, exactly like `DirectedCandidates::select` does.
         let floor = selection.threshold.unwrap_or(f64::NEG_INFINITY);
-        // Fold a column pool back through the selection once it outgrows
-        // this. Only `max_n` bounds the selected set's size; without it
-        // the pool accumulates every above-threshold cell (the true
-        // survivor count — irreducible, they all reach the output).
-        let fold_at = selection.max_n.map(|k| (4 * k).max(16));
-        let mut pools: Vec<Vec<(usize, f64)>> = if want_for_targets {
-            vec![Vec::new(); n]
-        } else {
-            Vec::new()
-        };
-        let mut touched: Vec<usize> = Vec::new();
-        let mut fragments: Vec<SimMatrix> = Vec::with_capacity(ranges.len());
+        let mut sink = rules::ShardSink::new(ctx.cols(), want_for_targets.then_some(selection));
         let mut row_buf: Vec<(usize, f64)> = Vec::new();
-        let mut builder = SparseBuilder::new(ranges.first().map_or(0, ExactSizeIterator::len), n);
-        for (which, range) in ranges.iter().enumerate() {
+        for range in ranges {
+            sink.begin(range);
             let mut cube = SimCube::new();
             for (name, matcher) in matchers {
                 cube.push(name.clone(), matcher.compute_rows(&ctx, range.clone()));
             }
             let agg = combination.aggregation.aggregate(&cube);
             drop(cube);
-            for li in 0..range.len() {
+            for (li, i) in range.clone().enumerate() {
                 row_buf.clear();
                 row_buf.extend(agg.row_entries(li).filter(|&(_, v)| v > floor));
+                sink.pool(i, &row_buf);
                 if want_for_sources {
-                    let mut selected = rank_entries(row_buf.iter().copied(), selection);
-                    selected.sort_unstable_by_key(|&(j, _)| j);
-                    builder.push_row(li, selected);
-                }
-                if want_for_targets {
-                    let gi = range.start + li;
-                    for &(j, v) in &row_buf {
-                        if v <= 0.0 {
-                            continue;
-                        }
-                        let pool = &mut pools[j];
-                        if pool.is_empty() {
-                            touched.push(j);
-                        }
-                        pool.push((gi, v));
-                        if fold_at.is_some_and(|limit| pool.len() >= limit) {
-                            sort_desc(pool);
-                            let folded = selection.apply(pool);
-                            *pool = folded;
-                        }
-                    }
+                    sink.store(i, &mut row_buf, Some(selection));
                 }
             }
-            let next_rows = ranges.get(which + 1).map_or(0, ExactSizeIterator::len);
-            fragments.push(builder.finish_reset(next_rows));
         }
-        // A pool emptied by a fold can re-touch its column; deduplicate
-        // so no cell is emitted twice.
-        touched.sort_unstable();
-        touched.dedup();
-        let mut pooled = Vec::new();
-        for j in touched {
-            for &(i, v) in &pools[j] {
-                pooled.push((i, j, v));
-            }
-        }
-        (fragments, pooled)
+        sink.finish()
     }
 }
 
-/// Unions the fused row-side survivor matrix with the pooled per-column
-/// survivors into one sparse matrix. A cell present on both sides comes
-/// from the same aggregated value, so duplicates collapse to the
-/// row-side copy.
-fn merge_pooled(row_side: &SimMatrix, mut pooled: Vec<(usize, usize, f64)>) -> SimMatrix {
+/// Unions the row-side survivor matrix of a row-sharded pipeline with
+/// its pooled per-column survivors into one sparse matrix (the row side
+/// itself when nothing was pooled). A cell present on both sides comes
+/// from the same value, so duplicates collapse to the row-side copy.
+fn merge_pooled(row_side: SimMatrix, mut pooled: Vec<(usize, usize, f64)>) -> SimMatrix {
+    if pooled.is_empty() {
+        return row_side;
+    }
     pooled.sort_unstable_by_key(|&(i, j, _)| (i, j));
     let mut builder = SparseBuilder::new(row_side.rows(), row_side.cols());
     let mut p = 0;

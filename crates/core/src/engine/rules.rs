@@ -3,12 +3,14 @@
 //! result may be cached. [`PlanEngine`](super::PlanEngine)
 //! evaluates these rules on runtime values and
 //! [`PlanAnalyzer`](super::PlanAnalyzer) on its static bounds, so a
-//! prediction cannot drift from what it predicts. Also home to the runner
-//! both row-sharded pipelines (fused leaf, candidate index) execute on.
+//! prediction cannot drift from what it predicts. Also home to the
+//! engine's one thread runner, [`run_chunks`], and to what the row-sharded
+//! pipelines (fused leaf, candidate index) run on it: [`run_row_shards`]
+//! and the per-worker [`ShardSink`].
 
 use super::{EngineConfig, MatchPlan};
-use crate::combine::CombinationStrategy;
-use crate::cube::SimMatrix;
+use crate::combine::{rank_entries, CombinationStrategy, Selection};
+use crate::cube::{SimMatrix, SparseBuilder};
 use crate::matchers::{Matcher, MatcherLibrary};
 use std::ops::Range;
 use std::sync::Arc;
@@ -191,10 +193,34 @@ pub(super) fn fused_threads(
     (workers.min(budget_cap).min(shards).max(1), inflight)
 }
 
-/// Runs `work` over the row `ranges` of a `rows × cols` task on at most
-/// `workers` scoped threads, each taking one contiguous chunk of ranges
-/// in order (a single worker runs inline, without a spawn), and joins
-/// what they return: the row fragments stitched in row order into one
+/// Runs `work` over `items` cut into at most `threads` contiguous chunks
+/// of equal length (the last may be shorter), one scoped thread per
+/// chunk, and returns each chunk's output in item order. A single chunk
+/// runs inline, without a spawn. The engine spawns threads nowhere else.
+pub(super) fn run_chunks<T, R, W>(items: &[T], threads: usize, work: W) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    W: Fn(&[T]) -> R + Sync,
+{
+    let threads = threads.clamp(1, items.len().max(1));
+    let chunks = items.chunks(items.len().div_ceil(threads).max(1));
+    if chunks.len() <= 1 {
+        return chunks.map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks.map(|c| scope.spawn(move || work(c))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("engine worker panicked"))
+            .collect()
+    })
+}
+
+/// Runs `work` over the row `ranges` of a `rows × cols` task through
+/// [`run_chunks`] on at most `workers` threads, and joins what the
+/// workers return: the row fragments stitched in row order into one
 /// `rows × cols` matrix (sparse and empty when no fragment holds a row),
 /// and every worker's pooled cells.
 pub(super) fn run_row_shards<W>(
@@ -207,22 +233,8 @@ pub(super) fn run_row_shards<W>(
 where
     W: Fn(&[Range<usize>]) -> ShardOut + Sync,
 {
-    let threads = workers.min(ranges.len()).max(1);
-    let chunks = ranges.chunks(ranges.len().div_ceil(threads).max(1));
-    let outs: Vec<ShardOut> = if threads == 1 {
-        chunks.map(&work).collect()
-    } else {
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks.map(|c| scope.spawn(move || work(c))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("row-shard worker panicked"))
-                .collect()
-        })
-    };
     let (mut fragments, mut pooled) = (Vec::with_capacity(ranges.len()), Vec::new());
-    for (frags, pool) in outs {
+    for (frags, pool) in run_chunks(ranges, workers, work) {
         fragments.extend(frags);
         pooled.extend(pool);
     }
@@ -232,6 +244,105 @@ where
     } else {
         debug_assert_eq!(row_side.rows(), 0, "fragments covered a partial row space");
         (SimMatrix::sparse(rows, cols), pooled)
+    }
+}
+
+/// What one row-shard worker keeps while it runs its chunk of shards: a
+/// CSR fragment per shard and, given a pool selection, one candidate
+/// pool per column holding `(global row, value)` cells. A pool is
+/// re-selected through that selection whenever it reaches
+/// `max(4 · k, 16)` cells for the selection's `max_n` `k`; without a
+/// `max_n` it never folds, since every cell it holds reaches the output.
+/// A fold keeps what the selection keeps among the pooled cells, a
+/// superset of what it keeps in the whole column, so the pools always
+/// hold every cell the column's global selection chooses.
+pub(super) struct ShardSink<'s> {
+    cols: usize,
+    pool_by: Option<&'s Selection>,
+    fold_at: usize,
+    pools: Vec<Vec<(usize, f64)>>,
+    /// Columns whose pool received a cell (repeats after a fold emptied
+    /// a pool; deduplicated by [`ShardSink::finish`]).
+    touched: Vec<usize>,
+    /// The current shard's first row and fragment.
+    shard: Option<(usize, SparseBuilder)>,
+    fragments: Vec<SimMatrix>,
+}
+
+impl<'s> ShardSink<'s> {
+    /// A sink over `cols` columns; `pool_by` keeps column pools.
+    pub(super) fn new(cols: usize, pool_by: Option<&'s Selection>) -> ShardSink<'s> {
+        ShardSink {
+            cols,
+            pool_by,
+            fold_at: pool_by
+                .and_then(|s| s.max_n)
+                .map_or(usize::MAX, |k| (4 * k).max(16)),
+            pools: vec![Vec::new(); if pool_by.is_some() { cols } else { 0 }],
+            touched: Vec::new(),
+            shard: None,
+            fragments: Vec::new(),
+        }
+    }
+
+    /// Starts the fragment of the shard over `rows`, closing the last.
+    pub(super) fn begin(&mut self, rows: &Range<usize>) {
+        let next = (rows.start, SparseBuilder::new(rows.len(), self.cols));
+        if let Some((_, done)) = self.shard.replace(next) {
+            self.fragments.push(done.finish());
+        }
+    }
+
+    /// Offers row `i`'s positive `(column, value)` entries to their
+    /// column pools; a no-op for a sink without pools.
+    pub(super) fn pool(&mut self, i: usize, entries: &[(usize, f64)]) {
+        let Some(selection) = self.pool_by else {
+            return;
+        };
+        for &(j, v) in entries.iter().filter(|&&(_, v)| v > 0.0) {
+            let pool = &mut self.pools[j];
+            if pool.is_empty() {
+                self.touched.push(j);
+            }
+            pool.push((i, v));
+            if pool.len() >= self.fold_at {
+                rank_entries(pool, selection);
+            }
+        }
+    }
+
+    /// Stores row `i` of the current shard: its column-ascending
+    /// `entries`, cut in place to what `selection` keeps when one is
+    /// given.
+    pub(super) fn store(
+        &mut self,
+        i: usize,
+        entries: &mut Vec<(usize, f64)>,
+        selection: Option<&Selection>,
+    ) {
+        let (start, builder) = self.shard.as_mut().expect("store before begin");
+        if let Some(selection) = selection {
+            rank_entries(entries, selection);
+            entries.sort_unstable_by_key(|&(j, _)| j);
+        }
+        builder.push_row(i - *start, entries.iter().copied());
+    }
+
+    /// Closes the last fragment and returns the fragments with the
+    /// pooled cells as `(row, column, value)`, column by column.
+    pub(super) fn finish(mut self) -> ShardOut {
+        if let Some((_, last)) = self.shard.take() {
+            self.fragments.push(last.finish());
+        }
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let pools = &self.pools;
+        let pooled = self
+            .touched
+            .iter()
+            .flat_map(|&j| pools[j].iter().map(move |&(i, v)| (i, j, v)))
+            .collect();
+        (self.fragments, pooled)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use crate::combine::{CombinationStrategy, DirectedCandidates};
 use crate::cube::SimCube;
-use crate::engine::{EngineCache, EngineConfig, MatchPlan, PlanEngine, PlanOutcome};
+use crate::engine::{EngineConfig, MatchPlan, PlanEngine, PlanOutcome};
 use crate::error::{CoreError, Result};
 use crate::matchers::context::{Auxiliary, MatchContext};
 use crate::matchers::feedback::Feedback;
@@ -165,13 +165,9 @@ impl Coma {
         target: &Schema,
         strategy: &MatchStrategy,
     ) -> Result<MatchOutcome> {
-        let source_paths = PathSet::new(source)?;
-        let target_paths = PathSet::new(target)?;
-        let ctx = MatchContext::new(source, target, &source_paths, &target_paths, &self.aux)
-            .with_repository(&self.repository);
-        let plan = MatchPlan::from(strategy);
-        let outcome = PlanEngine::new(&self.library).execute(&ctx, &plan)?;
-        Ok(outcome.into_outcome())
+        Ok(self
+            .match_plan(source, target, &MatchPlan::from(strategy))?
+            .into_outcome())
     }
 
     /// Runs an arbitrary [`MatchPlan`] on two schemas — the plan-aware
@@ -198,33 +194,9 @@ impl Coma {
         target: &Schema,
         plan: &MatchPlan,
     ) -> Result<PlanOutcome> {
-        let source_paths = PathSet::new(source)?;
-        let target_paths = PathSet::new(target)?;
-        let ctx = MatchContext::new(source, target, &source_paths, &target_paths, &self.aux)
-            .with_repository(&self.repository);
-        PlanEngine::with_config(&self.library, cfg).execute(&ctx, plan)
-    }
-
-    /// Like [`Coma::match_plan_with`], but memoizing through a shared
-    /// cross-request [`EngineCache`]
-    /// (see [`PlanEngine::execute_cached`]): repeat calls against the
-    /// same schemas — by content, not allocation — reuse tokenizations,
-    /// full pure matcher matrices and vocabulary indexes. The cache must
-    /// be dedicated to this instance's auxiliary configuration and
-    /// matcher library.
-    pub fn match_plan_cached(
-        &self,
-        cfg: EngineConfig,
-        source: &Schema,
-        target: &Schema,
-        plan: &MatchPlan,
-        cache: &std::sync::Arc<EngineCache>,
-    ) -> Result<PlanOutcome> {
-        let source_paths = PathSet::new(source)?;
-        let target_paths = PathSet::new(target)?;
-        let ctx = MatchContext::new(source, target, &source_paths, &target_paths, &self.aux)
-            .with_repository(&self.repository);
-        PlanEngine::with_config(&self.library, cfg).execute_cached(&ctx, plan, cache)
+        self.in_task(source, target, |ctx| {
+            PlanEngine::with_config(&self.library, cfg).execute(ctx, plan)
+        })
     }
 
     /// Like [`Coma::match_schemas`], but additionally stores the schemas,
@@ -239,20 +211,34 @@ impl Coma {
         target: &Schema,
         strategy: &MatchStrategy,
     ) -> Result<MatchResult> {
-        let source_paths = PathSet::new(source)?;
-        let target_paths = PathSet::new(target)?;
-        let ctx = MatchContext::new(source, target, &source_paths, &target_paths, &self.aux)
-            .with_repository(&self.repository);
-        let plan = MatchPlan::from(strategy);
-        let outcome = PlanEngine::new(&self.library).execute(&ctx, &plan)?;
-        let MatchOutcome { result, cube } = outcome.into_outcome();
-        let mapping = result.to_mapping(&ctx, MappingKind::Automatic);
-        let stored = stored_cube(&cube, &ctx);
+        let (result, mapping, stored) = self.in_task(source, target, |ctx| {
+            let plan = MatchPlan::from(strategy);
+            let outcome = PlanEngine::new(&self.library).execute(ctx, &plan)?;
+            let MatchOutcome { result, cube } = outcome.into_outcome();
+            let mapping = result.to_mapping(ctx, MappingKind::Automatic);
+            Ok((result, mapping, stored_cube(&cube, ctx)))
+        })?;
         self.repository.put_schema(source.clone());
         self.repository.put_schema(target.clone());
         self.repository.put_cube(stored);
         self.repository.put_mapping(mapping);
         Ok(result)
+    }
+
+    /// Runs `run` on the match task between `source` and `target`: their
+    /// path sets, prepared once, under this instance's auxiliary tables
+    /// and repository.
+    fn in_task<T>(
+        &self,
+        source: &Schema,
+        target: &Schema,
+        run: impl FnOnce(&MatchContext<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let source_paths = PathSet::new(source)?;
+        let target_paths = PathSet::new(target)?;
+        let ctx = MatchContext::new(source, target, &source_paths, &target_paths, &self.aux)
+            .with_repository(&self.repository);
+        run(&ctx)
     }
 }
 

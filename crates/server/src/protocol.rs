@@ -102,9 +102,12 @@ pub enum PlanSpec {
     Reuse(ReuseSpec),
 }
 
-/// Engine tuning carried by a match request — the wire-level mirror of
-/// [`coma_core::EngineConfig`]'s switches (unset fields keep the
-/// engine's defaults).
+/// Engine tuning carried by a match request: the four switches the
+/// server sets on a [`coma_core::EngineConfig`]. A frame must carry every
+/// field, `shards` too (as `null` for automatic sharding); nothing falls
+/// back to a default. [`MatchConfig::default`] is not
+/// `EngineConfig::default()`: it turns streaming-fused pruning off, so a
+/// request built from it runs prunable stages unfused.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchConfig {
     /// Parallel (row-sharded) execution.

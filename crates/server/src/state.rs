@@ -3,9 +3,10 @@
 //! One [`ServerState`] serves every connection: the matcher library and
 //! auxiliary tables (shared, immutable for the server's life — the
 //! stability the cross-request caches require), the persistent
-//! repository behind its `RwLock`, a hot working set of stored schemas
-//! (each an `Arc<Schema>` that concurrent sessions share, prepared for
-//! matching at its first match), and one [`EngineCache`] per tenant.
+//! repository behind its `RwLock`, a bounded hot working set of stored
+//! schemas (each an `Arc<Schema>` that concurrent sessions share,
+//! prepared for matching at its first match), and one [`EngineCache`]
+//! per tenant.
 //! Request dispatch is synchronous: the connection thread that read the
 //! frame runs the match (the plan engine row-shards big stages across
 //! its own scoped threads).
@@ -31,6 +32,8 @@ use std::time::Instant;
 struct Side {
     schema: Arc<Schema>,
     prepared: OnceLock<Prepared>,
+    /// The server's use clock at this side's last use as a hot entry.
+    used: AtomicU64,
 }
 
 /// A schema prepared for matching: its paths, its content fingerprint
@@ -46,6 +49,7 @@ impl Side {
         Side {
             schema: Arc::new(schema),
             prepared: OnceLock::new(),
+            used: AtomicU64::new(0),
         }
     }
 
@@ -90,7 +94,12 @@ pub struct ServerState {
     /// first match. Every write that stores a schema (`PutSchema`, or an
     /// inline side of a `store: true` match) replaces its entry, so a
     /// name's prepared form always belongs to the content stored under it.
+    /// It holds at most `2 × cache_pairs` names: admitting one more
+    /// evicts the least recently used, which its next use reloads from
+    /// the repository and prepares again.
     schemas: RwLock<HashMap<String, Arc<Side>>>,
+    /// Ticks at every use of a hot entry; orders them for eviction.
+    clock: AtomicU64,
     tenants: RwLock<HashMap<String, Arc<TenantState>>>,
     cache_pairs: usize,
     shutdown: AtomicBool,
@@ -110,6 +119,7 @@ impl ServerState {
             aux: Auxiliary::standard(),
             repo: PersistentRepository::open(backend)?,
             schemas: RwLock::default(),
+            clock: AtomicU64::new(0),
             tenants: RwLock::default(),
             cache_pairs: cache_pairs.max(1),
             shutdown: AtomicBool::new(false),
@@ -124,6 +134,27 @@ impl ServerState {
     /// The persistent repository handle.
     pub fn repository(&self) -> &PersistentRepository {
         &self.repo
+    }
+
+    /// Marks a hot entry used now and returns a handle to it. The stamp
+    /// only orders entries for eviction and guards no other data, so
+    /// relaxed atomics suffice.
+    fn touch(&self, side: &Arc<Side>) -> Arc<Side> {
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        side.used.store(now, Ordering::Relaxed);
+        Arc::clone(side)
+    }
+
+    /// Evicts the least recently used hot entries beyond the cap.
+    fn evict(&self, hot: &mut HashMap<String, Arc<Side>>) {
+        while hot.len() > 2 * self.cache_pairs {
+            let oldest = hot
+                .iter()
+                .min_by_key(|(_, side)| side.used.load(Ordering::Relaxed))
+                .map(|(name, _)| name.clone());
+            let Some(name) = oldest else { break };
+            hot.remove(&name);
+        }
     }
 
     fn tenant(&self, name: &str) -> Arc<TenantState> {
@@ -203,7 +234,9 @@ impl ServerState {
         if let Err(e) = self.repo.mutate(|r| r.put_schema((*side.schema).clone())) {
             return Response::Error(e.to_string());
         }
-        self.schemas.write().insert(info.name.clone(), side);
+        let mut hot = self.schemas.write();
+        hot.insert(info.name.clone(), self.touch(&side));
+        self.evict(&mut hot);
         Response::SchemaStored(info)
     }
 
@@ -222,7 +255,7 @@ impl ServerState {
     /// repository into the hot working set on first use.
     fn resolve_stored(&self, name: &str) -> Result<Arc<Side>, String> {
         if let Some(hit) = self.schemas.read().get(name) {
-            return Ok(Arc::clone(hit));
+            return Ok(self.touch(hit));
         }
         let loaded = self
             .repo
@@ -230,12 +263,13 @@ impl ServerState {
             .schema(name)
             .cloned()
             .ok_or_else(|| format!("no stored schema named {name:?}"))?;
-        Ok(Arc::clone(
-            self.schemas
-                .write()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Side::new(loaded))),
-        ))
+        let mut hot = self.schemas.write();
+        let side = hot
+            .entry(name.to_string())
+            .or_insert_with(|| Arc::new(Side::new(loaded)));
+        let side = self.touch(side);
+        self.evict(&mut hot);
+        Ok(side)
     }
 
     /// A match side: a stored schema's shared hot entry, or a fresh one
@@ -392,9 +426,10 @@ impl ServerState {
             let mut hot = self.schemas.write();
             for (side, sent) in [(&source, &req.source), (&target, &req.target)] {
                 if let SchemaRef::Inline(_) = sent {
-                    hot.insert(side.schema.name().to_string(), Arc::clone(side));
+                    hot.insert(side.schema.name().to_string(), self.touch(side));
                 }
             }
+            self.evict(&mut hot);
         }
 
         let mut correspondences: Vec<RankedCorrespondence> = mapping
@@ -447,5 +482,71 @@ impl std::fmt::Debug for ServerState {
             .field("store", &self.repo.location())
             .field("tenants", &self.tenants.read().len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use coma_repo::MemoryBackend;
+
+    fn put(state: &ServerState, name: &str, column: &str) {
+        let schema = InlineSchema {
+            name: name.to_string(),
+            format: SchemaFormat::Sql,
+            text: format!("CREATE TABLE PO.Orders (orderNo INT, {column} VARCHAR(200));"),
+        };
+        let stored = state.handle(Request::PutSchema("t".to_string(), schema));
+        assert!(matches!(stored, Response::SchemaStored(_)), "{stored:?}");
+    }
+
+    fn correspondences(
+        state: &ServerState,
+        source: &str,
+        target: &str,
+    ) -> Vec<RankedCorrespondence> {
+        let request = Request::Match(MatchRequest {
+            tenant: "t".to_string(),
+            source: SchemaRef::Stored(source.to_string()),
+            target: SchemaRef::Stored(target.to_string()),
+            plan: PlanSpec::Default,
+            config: MatchConfig::default(),
+            store: false,
+        });
+        match state.handle(request) {
+            Response::Matched(matched) => matched.correspondences,
+            other => panic!("{source} ↔ {target}: {other:?}"),
+        }
+    }
+
+    /// Matching more distinct stored schemas than the hot set holds keeps
+    /// it within `2 × cache_pairs` names, and an evicted schema, reloaded
+    /// and prepared again, answers exactly as it did the first time.
+    #[test]
+    fn the_hot_set_stays_bounded_and_reloads_evicted_schemas() {
+        let state = ServerState::open(MemoryBackend::new(), 2).unwrap();
+        let cap = 4;
+        let columns = ["shipCity", "custName", "billZip", "itemPrice", "taxRate"];
+        let names: Vec<String> = (0..10).map(|k| format!("S{k}")).collect();
+        for (k, name) in names.iter().enumerate() {
+            put(&state, name, columns[k % columns.len()]);
+            assert!(state.schemas.read().len() <= cap);
+        }
+        let pairs: Vec<(&str, &str)> = names
+            .iter()
+            .zip(names.iter().rev())
+            .map(|(a, b)| (a.as_str(), b.as_str()))
+            .collect();
+        let first: Vec<Vec<RankedCorrespondence>> = pairs
+            .iter()
+            .map(|&(a, b)| correspondences(&state, a, b))
+            .collect();
+        assert!(first.iter().any(|c| !c.is_empty()));
+        for _ in 0..2 {
+            for (&(a, b), answer) in pairs.iter().zip(&first) {
+                assert_eq!(&correspondences(&state, a, b), answer, "{a} ↔ {b}");
+                assert!(state.schemas.read().len() <= cap);
+            }
+        }
     }
 }

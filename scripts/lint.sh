@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-specific lint gates that rustc/clippy do not express, run by the
-# CI lint job next to rustfmt and clippy. Three rules:
+# CI lint job next to rustfmt and clippy. Four rules:
 #
 # 1. No `.unwrap()` / `.expect(` in the server's session/drain paths
 #    (crates/server/src/server.rs and state.rs, non-test code). A panic
@@ -20,6 +20,12 @@
 #    counts are decided once there, for the engine that executes them and
 #    the analyzer that predicts them; a second call site is a forked rule
 #    the analyzer no longer sees.
+#
+# 4. No `thread::scope` or `.spawn(` on a non-comment line of
+#    crates/core/src/engine/ outside rules.rs. Every row-sharded stage and
+#    the leaf fan-out run on the one order-preserving runner there; a
+#    second spawn site is a forked runner with its own chunking and join
+#    order.
 #
 # Exits nonzero with one line per violation.
 set -u
@@ -87,6 +93,18 @@ violations=$(find crates/core/src/engine -name '*.rs' ! -name rules.rs -print | 
     /^[[:space:]]*\/\// { next }
     /available_parallelism\(/ {
         printf "%s:%d: parallelism read outside engine/rules.rs: %s\n", FILENAME, FNR, $0
+    }
+')
+if [ -n "$violations" ]; then
+    printf '%s\n' "$violations"
+    status=1
+fi
+
+# --- rule 4: the engine spawns threads in engine/rules.rs only -------
+violations=$(find crates/core/src/engine -name '*.rs' ! -name rules.rs -print | sort | xargs awk '
+    /^[[:space:]]*\/\// { next }
+    /thread::scope|\.spawn\(/ {
+        printf "%s:%d: thread spawn outside engine/rules.rs: %s\n", FILENAME, FNR, $0
     }
 ')
 if [ -n "$violations" ]; then

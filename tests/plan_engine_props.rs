@@ -8,14 +8,21 @@
 //! whole-plan execution, `Iterate` terminates within its round budget,
 //! and the `CandidateIndex` leaf is a recall-preserving prefilter: its
 //! uncapped candidate set covers every positive-threshold `Name`
-//! selection, identically across execution configurations.
+//! selection, identically across execution configurations. On a
+//! generated task large enough that the row-shard workers' per-column
+//! pools fold, the fused prune still equals the unfused one and a capped
+//! index keeps exactly each element's best candidates.
 
+use coma::core::plans::liberal_name_stage;
 use coma::core::{
-    Aggregation, Coma, CombinationStrategy, CombinedSim, DirectedCandidates, Direction,
-    EngineConfig, MatchContext, MatchPlan, PlanEngine, Selection, SimCube, TopKPer,
+    shard_ranges, Aggregation, Coma, CombinationStrategy, CombinedSim, DirectedCandidates,
+    Direction, EngineConfig, MatchContext, MatchPlan, PairMask, PlanEngine, Selection, SimCube,
+    SimMatrix, TopKPer,
 };
 use coma::graph::{PathSet, Schema};
+use coma_bench::workload::{generate_task, WorkloadShape, WorkloadSpec};
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The matcher pool property cases draw subsets from: the five hybrids
@@ -680,6 +687,152 @@ fn fused_pruning_handles_empty_tasks() {
             assert!(outcome.stages[0].fused, "task {which} did not fuse");
             assert!(outcome.result.is_empty(), "task {which}");
             assert_eq!(outcome.stages[0].cube.stored_entries(), 0);
+        }
+    }
+}
+
+/// A generated `catalog300` task (300 × 297 paths): large enough that a
+/// column's pool reaches its fold size inside one row shard.
+struct Generated {
+    coma: Coma,
+    source: Schema,
+    target: Schema,
+    source_paths: PathSet,
+    target_paths: PathSet,
+}
+
+fn generated() -> &'static Generated {
+    static G: OnceLock<Generated> = OnceLock::new();
+    G.get_or_init(|| {
+        let spec = WorkloadSpec::new(WorkloadShape::Catalog, 300, 3);
+        let (source, target) = generate_task(&spec);
+        Generated {
+            coma: Coma::new(),
+            source_paths: PathSet::new(&source).unwrap(),
+            target_paths: PathSet::new(&target).unwrap(),
+            source,
+            target,
+        }
+    })
+}
+
+/// The row spans inside which a worker pools cells at `shards` forced
+/// row shards: each shard, while shards hold several rows. Beyond `rows`
+/// shards every shard is one row, so a pool can only fill across the
+/// shards one worker runs in turn: one contiguous chunk per worker.
+fn fold_spans(rows: usize, shards: usize) -> Vec<Range<usize>> {
+    let ranges = shard_ranges(rows, shards);
+    if shards <= rows {
+        return ranges;
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+    let chunk = ranges.len().div_ceil(workers.min(ranges.len()));
+    ranges
+        .chunks(chunk)
+        .map(|c| c[0].start..c[c.len() - 1].end)
+        .collect()
+}
+
+/// The most cells above `floor` one column of `matrix` holds inside one
+/// of `spans`.
+fn fullest_column(matrix: &SimMatrix, floor: f64, spans: &[Range<usize>]) -> usize {
+    let in_span =
+        |span: &Range<usize>, j: usize| span.clone().filter(|&i| matrix.get(i, j) > floor).count();
+    spans
+        .iter()
+        .flat_map(|span| (0..matrix.cols()).map(move |j| in_span(span, j)))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The fused prune over the liberal `Name` leaf equals the unfused one —
+/// result, stage result and stage cube — for `TopK` in every `TopKPer`
+/// mode and for capped and uncapped threshold filters, at every shard
+/// count, on a generated task where the leaf's per-column pools fold:
+/// some column holds at least `max(4 · 10, 16)` cells above the leaf's
+/// 0.3 threshold inside the rows one worker pools.
+#[test]
+fn fused_pruning_matches_unfused_through_column_folds() {
+    let g = generated();
+    let ctx = MatchContext::new(
+        &g.source,
+        &g.target,
+        &g.source_paths,
+        &g.target_paths,
+        g.coma.aux(),
+    );
+    let prunes = [
+        liberal_name_stage().top_k(1, TopKPer::Row).unwrap(),
+        liberal_name_stage().top_k(3, TopKPer::Col).unwrap(),
+        liberal_name_stage().top_k(2, TopKPer::Both).unwrap(),
+        liberal_name_stage().filtered(Direction::Both, Selection::max_n(3).with_threshold(0.4)),
+        liberal_name_stage().filtered(Direction::Both, Selection::threshold(0.6)),
+    ];
+    for shards in [1, 2, 7, ctx.rows() + 1] {
+        let fused_cfg = EngineConfig::default().with_shards(shards);
+        let unfused_cfg = fused_cfg.clone().with_fuse_pruning(false);
+        for plan in &prunes {
+            let case = format!("{} at {shards} shards", plan.label());
+            let fused = PlanEngine::with_config(g.coma.library(), fused_cfg.clone())
+                .execute(&ctx, plan)
+                .unwrap();
+            let unfused = PlanEngine::with_config(g.coma.library(), unfused_cfg.clone())
+                .execute(&ctx, plan)
+                .unwrap();
+            assert_eq!(fused.stages.len(), 1, "{case}");
+            assert!(fused.stages[0].fused, "{case}");
+            assert_eq!(fused.result, unfused.result, "{case}");
+            let (fused_stage, unfused_stage) = (&fused.stages[0], unfused.stages.last().unwrap());
+            assert_eq!(fused_stage.label, unfused_stage.label, "{case}");
+            assert_eq!(fused_stage.result, unfused_stage.result, "{case}");
+            assert_eq!(fused_stage.cube, unfused_stage.cube, "{case}");
+
+            // One matcher under `Average`: the leaf's aggregate is its slice.
+            let leaf = unfused.stages[0].cube.slice(0);
+            let fullest = fullest_column(leaf, 0.3, &fold_spans(ctx.rows(), shards));
+            assert!(fullest >= 40, "{case}: no pool folds ({fullest} < 40)");
+        }
+    }
+}
+
+/// A capped `CandidateIndex` keeps exactly the union of each row's and
+/// each column's `cap` best cells of the same uncapped index (score
+/// descending, lower index first), at caps 1–5 and every shard count,
+/// on a generated task where a column's pool reaches its fold size
+/// (`max(4 · cap, 16)` candidates) inside the rows one worker pools.
+#[test]
+fn capped_candidate_index_keeps_each_elements_best_through_column_folds() {
+    let g = generated();
+    let ctx = MatchContext::new(
+        &g.source,
+        &g.target,
+        &g.source_paths,
+        &g.target_paths,
+        g.coma.aux(),
+    );
+    let index = |cap| MatchPlan::candidate_index_with(1, 0.0, 3, cap).unwrap();
+    for shards in [1, 2, 7, ctx.rows() + 1] {
+        let engine = PlanEngine::with_config(
+            g.coma.library(),
+            EngineConfig::default().with_shards(shards),
+        );
+        let all = engine.execute(&ctx, &index(None)).unwrap();
+        let all = all.stages[0].cube.slice(0);
+        let spans = fold_spans(ctx.rows(), shards);
+        for cap in 1..=5 {
+            let fold_at = (4 * cap).max(16);
+            let fullest = fullest_column(all, 0.0, &spans);
+            assert!(
+                fullest >= fold_at,
+                "shards {shards}, cap {cap}: no pool folds ({fullest} < {fold_at})"
+            );
+            let kept = engine.execute(&ctx, &index(Some(cap))).unwrap();
+            let best = PairMask::top_k_of(all, cap, TopKPer::Both).masked_sparse(all);
+            assert_eq!(
+                kept.stages[0].cube.slice(0),
+                &best,
+                "shards {shards}, cap {cap}"
+            );
         }
     }
 }

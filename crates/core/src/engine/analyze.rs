@@ -605,7 +605,9 @@ const PLAN_SLACK: u64 = 8 << 20;
 const PER_NAME_PREP: u64 = 512;
 /// Bytes per distinct token-pair similarity entry.
 const TOKEN_PAIR: u64 = 48;
-/// Bytes per distinct name-pair similarity entry.
+/// Bytes per distinct name pair when an execution keeps no name table
+/// (see [`rules::keep_name_table`]): the tables each name compute builds
+/// over its own rows and drops, for computes running side by side.
 const NAME_PAIR: u64 = 64;
 /// A `CandidateIndex` task is "large" (uncapped leaves get a warning)
 /// from this many pair-space cells on.
@@ -745,22 +747,33 @@ impl<'a> PlanAnalyzer<'a> {
     }
 
     /// Shared preparation: tokenization and path tables per element, the
-    /// distinct-token and distinct-name pair similarity tables (filled
-    /// lazily, bounded by their cross products and by the cells that can
-    /// ever be compared), and the `TaskStats` probe indexes.
+    /// distinct-token and distinct-name pair similarity tables (bounded
+    /// by their cross products and by the cells that can ever be
+    /// compared), and the `TaskStats` probe indexes. The name term
+    /// follows [`rules::keep_name_table`]: a kept table holds one `f64`
+    /// per distinct name pair (its key vectors and row slots are
+    /// per-element preparation); without one, each compute's own tables
+    /// are charged at [`NAME_PAIR`].
     fn prep_bound(&self, stats: &TaskStats) -> u64 {
         let elements = (stats.rows as u64).saturating_add(stats.cols as u64);
         let token_pairs = (stats.source_tokens as u64)
             .saturating_mul(stats.target_tokens as u64)
             .min(stats.cells().saturating_mul(16));
-        let name_pairs = (stats.source_distinct_names as u64)
-            .saturating_mul(stats.target_distinct_names as u64)
+        let (source_names, target_names) =
+            (stats.source_distinct_names, stats.target_distinct_names);
+        let name_pairs = (source_names as u64)
+            .saturating_mul(target_names as u64)
             .min(stats.cells());
+        let name_pair_bytes = if rules::keep_name_table(source_names, target_names) {
+            DENSE_CELL
+        } else {
+            NAME_PAIR
+        };
         let postings = (stats.token_postings as u64).saturating_add(2 * stats.gram_postings as u64);
         elements
             .saturating_mul(PER_NAME_PREP)
             .saturating_add(token_pairs.saturating_mul(TOKEN_PAIR))
-            .saturating_add(name_pairs.saturating_mul(NAME_PAIR))
+            .saturating_add(name_pairs.saturating_mul(name_pair_bytes))
             .saturating_add(postings.saturating_mul(16))
     }
 

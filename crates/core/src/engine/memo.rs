@@ -8,9 +8,17 @@
 //!   element name is independent of any matcher configuration, so one
 //!   cache serves every name-based matcher. Only element names are
 //!   cached: `NamePath` derives a path's token set from its element
-//!   names' sets, and every name-based matcher scores its pairs from a
-//!   token table it builds per compute (see [`NameEngine::token_table`]),
-//!   so no name-pair similarity is memoized;
+//!   names' sets;
+//! * **the name table** — per [`NameEngine`] value, the similarity of
+//!   every distinct (source name, target name) pair of the task, each
+//!   table row filled once by whichever compute needs it first, so
+//!   `Name` and `TypeName` (which share the paper-default engine) score
+//!   each distinct name pair once per execution: in the fused first
+//!   stage, the masked refine slices and the structural leaf table
+//!   alike. The table is kept only while the engine's keep rule admits
+//!   its size, and it lives in this memo alone: it never enters the
+//!   cross-request [`EngineCache`], which therefore still caches
+//!   tokenizations, not name pairs;
 //! * **per-matcher similarity matrices** — keyed by matcher name *and*
 //!   instance identity, so `Children`/`Leaves` reuse the `TypeName` matrix
 //!   the engine already computed (the standard library shares one
@@ -41,16 +49,18 @@
 //! The streaming-fused pruning path (see
 //! [`EngineConfig::fuse_pruning`](super::EngineConfig)) deliberately
 //! bypasses the *matrix* cache — its whole point is never materializing a
-//! full per-matcher matrix — but still shares the tokenization cache, so
-//! fused and unfused stages of one run tokenize each name once.
+//! full per-matcher matrix — but still shares the tokenization cache and
+//! the name table, so fused and unfused stages of one run tokenize each
+//! name once and score each distinct name pair once.
 //!
 //! [`PlanEngine`]: super::PlanEngine
-//! [`NameEngine::token_table`]: crate::matchers::name_engine::NameEngine::token_table
 
 use super::cache::{private_scope, EngineCache, PairScope};
 use super::index::VocabIndex;
 use super::MatchPlan;
 use crate::cube::SimMatrix;
+use crate::matchers::hybrid::NameTable;
+use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
 use crate::result::MatchResult;
 use parking_lot::Mutex;
@@ -60,6 +70,10 @@ use std::sync::{Arc, OnceLock};
 /// A matrix slot computed at most once, keyed by (matcher name, instance
 /// identity) — the memo-local store for non-`pure` matchers.
 type LocalMatrixSlots = HashMap<(String, usize), Arc<OnceLock<Arc<SimMatrix>>>>;
+
+/// A name table slot per name engine, decided at most once: the kept
+/// table, or `None` when the keep rule declined it.
+type NameTableSlots = Vec<Arc<(NameEngine, OnceLock<Option<Arc<NameTable>>>)>>;
 
 /// Memoized shared work for one match task, shared by all matchers and
 /// stages of a plan execution (attached to the context as
@@ -74,6 +88,8 @@ pub struct MatchMemo {
     /// Matrices of matchers whose output depends on state beyond the
     /// schemas (reuse matchers): valid for this execution only.
     local_matrices: Mutex<LocalMatrixSlots>,
+    /// This execution's name tables, one per name engine.
+    name_tables: Mutex<NameTableSlots>,
 }
 
 /// The identity of a matcher instance: the address of its (shared) `Arc`
@@ -94,6 +110,7 @@ impl MatchMemo {
             cache: Arc::new(EngineCache::new()),
             scope: private_scope(),
             local_matrices: Mutex::default(),
+            name_tables: Mutex::default(),
         }
     }
 
@@ -108,6 +125,7 @@ impl MatchMemo {
             cache: Arc::clone(cache),
             scope: (source_fp, target_fp),
             local_matrices: Mutex::default(),
+            name_tables: Mutex::default(),
         }
     }
 
@@ -162,6 +180,29 @@ impl MatchMemo {
             return Some(hit);
         }
         self.cache.cached_matrix(self.scope, name, identity)
+    }
+
+    /// This execution's name table for `engine`: `build` runs once per
+    /// engine value, on the first request (concurrent requests block on
+    /// it), and returns the table or `None` when the keep rule declines
+    /// it; every later request gets the same answer.
+    pub(crate) fn name_table(
+        &self,
+        engine: &NameEngine,
+        build: impl FnOnce() -> Option<Arc<NameTable>>,
+    ) -> Option<Arc<NameTable>> {
+        let slot = {
+            let mut slots = self.name_tables.lock();
+            match slots.iter().find(|slot| slot.0 == *engine) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::new((engine.clone(), OnceLock::new()));
+                    slots.push(Arc::clone(&slot));
+                    slot
+                }
+            }
+        };
+        slot.1.get_or_init(build).clone()
     }
 
     /// The final result kept for `plan` under this memo's pair scope

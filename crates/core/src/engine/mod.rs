@@ -122,6 +122,7 @@ pub use index::{CandidateParams, CandidateScorer, IndexStats, VocabIndex};
 pub use mask::PairMask;
 pub use memo::{matcher_identity, MatchMemo};
 pub use plan::{MatchPlan, PlanError, PlanErrorKind, TopKPer};
+pub(crate) use rules::keep_name_table;
 
 use crate::combine::{directional_wants, CombinationStrategy, DirectedCandidates};
 use crate::cube::{SimCube, SimMatrix, SparseBuilder};

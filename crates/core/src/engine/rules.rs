@@ -1,12 +1,12 @@
 //! The engine's execution decisions, each defined once: storage, fusion,
-//! shard, worker and fused-thread counts, and whether a plan's final
-//! result may be cached. [`PlanEngine`](super::PlanEngine)
-//! evaluates these rules on runtime values and
-//! [`PlanAnalyzer`](super::PlanAnalyzer) on its static bounds, so a
-//! prediction cannot drift from what it predicts. Also home to the
-//! engine's one thread runner, [`run_chunks`], and to what the row-sharded
-//! pipelines (fused leaf, candidate index) run on it: [`run_row_shards`]
-//! and the per-worker [`ShardSink`].
+//! shard, worker and fused-thread counts, whether an execution keeps its
+//! name table, and whether a plan's final result may be cached.
+//! [`PlanEngine`](super::PlanEngine) and the name matchers evaluate these
+//! rules on runtime values and [`PlanAnalyzer`](super::PlanAnalyzer) on
+//! its static bounds, so a prediction cannot drift from what it predicts.
+//! Also home to the engine's one thread runner, [`run_chunks`], and to
+//! what the row-sharded pipelines (fused leaf, candidate index) run on
+//! it: [`run_row_shards`] and the per-worker [`ShardSink`].
 
 use super::{EngineConfig, MatchPlan};
 use crate::combine::{rank_entries, CombinationStrategy, Selection};
@@ -118,6 +118,20 @@ pub(super) fn fusable_leaf<'p>(
     } else {
         Err(Unfusable::Unshardable(unshardable))
     }
+}
+
+/// The name-table rule: a plan execution keeps one table of its task's
+/// distinct name-pair similarities (`hybrid::NameTable`), shared by every
+/// `Name` and `TypeName` compute of the execution, while its
+/// `source_names × target_names` `f64` cells fit [`FUSE_BUDGET_BYTES`].
+/// Above that, each compute scores over a table of its own rows and
+/// drops it, so a vocabulary-rich task keeps the fused pipeline's memory
+/// contract.
+pub(crate) fn keep_name_table(source_names: usize, target_names: usize) -> bool {
+    (source_names as u64)
+        .saturating_mul(target_names as u64)
+        .saturating_mul(std::mem::size_of::<f64>() as u64)
+        <= FUSE_BUDGET_BYTES
 }
 
 /// The result-cache rule: a plan's final result may be kept under its

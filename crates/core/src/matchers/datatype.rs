@@ -120,9 +120,9 @@ impl Default for TypeCompatTable {
 /// 15 × 15 hash probes per compute, and two index loads per cell.
 pub(crate) struct TypeSims {
     /// The type id of each source row the table was built for, in order.
-    pub(crate) src: Vec<u8>,
+    src: Vec<u8>,
     /// The type id of each target column.
-    pub(crate) tgt: Vec<u8>,
+    tgt: Vec<u8>,
     /// The number of distinct target types: the table's row length.
     cols: usize,
     table: Vec<f64>,
@@ -152,17 +152,11 @@ impl TypeSims {
         }
     }
 
-    /// The similarity of source type id `a` and target type id `b`.
-    #[inline]
-    pub(crate) fn by_ids(&self, a: u8, b: u8) -> f64 {
-        self.table[usize::from(a) * self.cols + usize::from(b)]
-    }
-
     /// The similarity of the `r`-th row the table was built for and
     /// target column `j`.
     #[inline]
     pub(crate) fn get(&self, r: usize, j: usize) -> f64 {
-        self.by_ids(self.src[r], self.tgt[j])
+        self.table[usize::from(self.src[r]) * self.cols + usize::from(self.tgt[j])]
     }
 }
 

@@ -3,29 +3,30 @@
 //! live in [`super::structural`].)
 
 use crate::cube::{SimMatrix, SparseBuilder};
-use crate::engine::PairMask;
+use crate::engine::{keep_name_table, PairMask};
 use crate::matchers::context::MatchContext;
 use crate::matchers::datatype::TypeSims;
 use crate::matchers::name_engine::NameEngine;
 use crate::matchers::Matcher;
 use coma_graph::{PathId, PathSet};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
-/// Deduplicates the per-row/column keys of one schema side: returns the
-/// key id of every element plus the distinct keys in first-use order.
+/// Deduplicates the element names of one schema side: returns the key
+/// id of every element plus the distinct names in first-use order.
 /// Real schemas repeat element names heavily across paths (a 1000-path
 /// schema often has only a few hundred distinct names), so `Name` and
-/// `TypeName` compute their similarity tables over distinct keys and fan
-/// the values out, instead of paying a lookup per matrix cell.
-fn distinct_keys<K: Eq + Hash + Clone>(keys: impl Iterator<Item = K>) -> (Vec<usize>, Vec<K>) {
+/// `TypeName` score each distinct name pair once, in a [`NameTable`]
+/// over these keys, instead of once per matrix cell.
+fn distinct_keys<'a>(names: impl Iterator<Item = &'a str>) -> (Vec<u32>, Vec<&'a str>) {
     let mut ids = Vec::new();
-    let mut order: Vec<K> = Vec::new();
-    let mut seen: HashMap<K, usize> = HashMap::new();
-    for key in keys {
-        let id = *seen.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            order.len() - 1
+    let mut order: Vec<&str> = Vec::new();
+    let mut seen: HashMap<&str, u32> = HashMap::new();
+    for name in names {
+        let id = *seen.entry(name).or_insert_with(|| {
+            order.push(name);
+            u32::try_from(order.len() - 1).expect("fewer than 2^32 distinct names")
         });
         ids.push(id);
     }
@@ -59,13 +60,14 @@ impl Vocab {
 }
 
 /// The one path every name-based matcher scores through: the token sets
-/// of both sides of a compute (of element names, or of long path names)
-/// as ids of one shared [`Vocab`], and the token-pair table between them
+/// of both sides (of distinct element names, or of long path names) as
+/// ids of one shared [`Vocab`], and the token-pair table between them
 /// ([`NameEngine::token_table`]). A set pair is combined by
 /// [`NameEngine::combine_by`] over table lookups, so no string work is
-/// repeated per pair.
-struct NameScorer<'e> {
-    engine: &'e NameEngine,
+/// repeated per pair. `NamePath` builds one per compute; `Name` and
+/// `TypeName` score through the one inside their [`NameTable`].
+struct NameScorer {
+    engine: NameEngine,
     src: Vec<Vec<u32>>,
     tgt: Vec<Vec<u32>>,
     /// The table column of each target token id. Source tokens are
@@ -75,14 +77,14 @@ struct NameScorer<'e> {
     table: Vec<f64>,
 }
 
-impl<'e> NameScorer<'e> {
+impl NameScorer {
     /// A scorer over the token sets of element names.
     fn names(
         ctx: &MatchContext<'_>,
-        engine: &'e NameEngine,
+        engine: &NameEngine,
         src_names: &[&str],
         tgt_names: &[&str],
-    ) -> NameScorer<'e> {
+    ) -> NameScorer {
         let mut vocab = Vocab::default();
         let src = src_names
             .iter()
@@ -100,9 +102,9 @@ impl<'e> NameScorer<'e> {
     /// the source paths `wanted_rows` accepts and every target path.
     fn paths(
         ctx: &MatchContext<'_>,
-        engine: &'e NameEngine,
+        engine: &NameEngine,
         wanted_rows: impl Fn(usize) -> bool,
-    ) -> NameScorer<'e> {
+    ) -> NameScorer {
         let mut vocab = Vocab::default();
         let (source, target) = (ctx.source_paths, ctx.target_paths);
         let src = path_token_sets(source, wanted_rows, |p| {
@@ -121,12 +123,12 @@ impl<'e> NameScorer<'e> {
     /// `src_tokens` ids; target tokens get columns in first-use order.
     fn new(
         ctx: &MatchContext<'_>,
-        engine: &'e NameEngine,
+        engine: &NameEngine,
         vocab: Vocab,
         src_tokens: usize,
         src: Vec<Vec<u32>>,
         tgt: Vec<Vec<u32>>,
-    ) -> NameScorer<'e> {
+    ) -> NameScorer {
         let mut col = vec![u32::MAX; vocab.tokens.len()];
         let mut tgt_tokens: Vec<&str> = Vec::new();
         for &id in tgt.iter().flatten() {
@@ -142,7 +144,7 @@ impl<'e> NameScorer<'e> {
             .collect();
         let table = engine.token_table(&src_tokens, &tgt_tokens, ctx.aux);
         NameScorer {
-            engine,
+            engine: engine.clone(),
             src,
             tgt,
             col,
@@ -158,15 +160,114 @@ impl<'e> NameScorer<'e> {
             self.table[t1[i] as usize * self.cols + self.col[t2[j] as usize] as usize]
         })
     }
+}
 
-    /// The similarity table of every source set × every target set
-    /// (row-major), clamped like a `SimMatrix` cell.
-    fn table(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.src.len() * self.tgt.len());
-        for a in 0..self.src.len() {
-            out.extend((0..self.tgt.len()).map(|b| self.score(a, b).clamp(0.0, 1.0)));
+/// The name similarities of one task, over distinct names: each source
+/// row's and target column's distinct-name key, one [`NameScorer`] over
+/// both sides' distinct names, and one row of clamped similarities per
+/// distinct source name, filled at most once, on first use.
+///
+/// A plan execution's [`MatchMemo`](crate::engine::MatchMemo) keeps one
+/// per [`NameEngine`] value while the task's distinct-name pairs fit the
+/// engine's keep rule, so the standard `Name` and `TypeName` share it and
+/// every fused row shard, masked refine slice and structural leaf table
+/// of the execution reads the same rows. It lives for that execution
+/// only and never enters the cross-request cache. Without a kept table,
+/// each compute builds one over its own rows and drops it.
+pub(crate) struct NameTable {
+    scorer: NameScorer,
+    /// The first source row the table covers.
+    first_row: usize,
+    /// The distinct-name key of each covered source row, from `first_row`.
+    row_key: Vec<u32>,
+    /// The distinct-name key of each target column.
+    col_key: Vec<u32>,
+    /// Per distinct source name: its similarity to every distinct target
+    /// name.
+    rows: Vec<OnceLock<Box<[f64]>>>,
+    /// Rows filled so far (unit tests check that none is filled twice).
+    #[cfg(test)]
+    fills: std::sync::atomic::AtomicUsize,
+}
+
+impl NameTable {
+    /// The table a compute over source rows `rows` reads: the one the
+    /// execution's memo keeps for `engine` (built by the first compute
+    /// that asks, over every row), or else a table over `rows` alone.
+    fn of(ctx: &MatchContext<'_>, engine: &NameEngine, rows: Range<usize>) -> Arc<NameTable> {
+        let kept = ctx.memo.and_then(|memo| {
+            memo.name_table(engine, || {
+                let table = NameTable::new(ctx, engine, 0..ctx.rows(), keep_name_table);
+                table.map(Arc::new)
+            })
+        });
+        debug_assert!(
+            kept.as_ref()
+                .is_none_or(|t| (t.row_key.len(), t.col_key.len()) == (ctx.rows(), ctx.cols())),
+            "a memo serves the computes of one task"
+        );
+        kept.unwrap_or_else(|| {
+            let table = NameTable::new(ctx, engine, rows, |_, _| true);
+            Arc::new(table.expect("an unconditional table"))
+        })
+    }
+
+    /// The table over source rows `rows` and every target column, if
+    /// `keep` admits its distinct (source, target) name counts. The
+    /// scorer is only built for a table that is kept.
+    fn new(
+        ctx: &MatchContext<'_>,
+        engine: &NameEngine,
+        rows: Range<usize>,
+        keep: impl FnOnce(usize, usize) -> bool,
+    ) -> Option<NameTable> {
+        let first_row = rows.start;
+        let (row_key, src_names) = distinct_keys(rows.map(|i| ctx.source_name(i)));
+        let (col_key, tgt_names) = distinct_keys((0..ctx.cols()).map(|j| ctx.target_name(j)));
+        if !keep(src_names.len(), tgt_names.len()) {
+            return None;
         }
-        out
+        Some(NameTable {
+            scorer: NameScorer::names(ctx, engine, &src_names, &tgt_names),
+            first_row,
+            row_key,
+            col_key,
+            rows: (0..src_names.len()).map(|_| OnceLock::new()).collect(),
+            #[cfg(test)]
+            fills: std::sync::atomic::AtomicUsize::new(0),
+        })
+    }
+
+    /// The row of distinct source name `a`, filled on first use.
+    fn row(&self, a: u32) -> &[f64] {
+        self.rows[a as usize].get_or_init(|| {
+            #[cfg(test)]
+            self.fills
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let a = a as usize;
+            (0..self.scorer.tgt.len())
+                .map(|b| self.scorer.score(a, b).clamp(0.0, 1.0))
+                .collect()
+        })
+    }
+
+    /// Source row `i`'s similarity to every target column, in column
+    /// order, through its name's row (filled if it is not yet).
+    fn row_values(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        let row = self.row(self.row_key[i - self.first_row]);
+        self.col_key.iter().map(move |&b| row[b as usize])
+    }
+
+    /// The similarity of source row `i` and target column `j`: read from
+    /// its name's row when that is filled, otherwise scored alone, so a
+    /// masked compute scores only the cells it needs.
+    fn cell(&self, i: usize, j: usize) -> f64 {
+        let a = self.row_key[i - self.first_row] as usize;
+        let b = self.col_key[j] as usize;
+        match self.rows[a].get() {
+            Some(row) => row[b],
+            None => self.scorer.score(a, b).clamp(0.0, 1.0),
+        }
     }
 }
 
@@ -215,22 +316,18 @@ pub fn path_token_sets<T: Clone + PartialEq>(
 }
 
 /// The name similarity of every cell `mask` allows, in row-major order,
-/// combining each distinct (source name, target name) pair once.
+/// read through the task's [`NameTable`]: from a filled row where one
+/// exists, else scored for that cell alone.
 fn masked_name_sims(
     ctx: &MatchContext<'_>,
     engine: &NameEngine,
     mask: &PairMask,
     mut emit: impl FnMut(usize, usize, f64),
 ) {
-    let (src_ids, src_names) = distinct_keys((0..ctx.rows()).map(|i| ctx.source_name(i)));
-    let (tgt_ids, tgt_names) = distinct_keys((0..ctx.cols()).map(|j| ctx.target_name(j)));
-    let scorer = NameScorer::names(ctx, engine, &src_names, &tgt_names);
-    let mut sims: HashMap<(usize, usize), f64> = HashMap::new();
-    for (i, &a) in src_ids.iter().enumerate() {
+    let table = NameTable::of(ctx, engine, 0..ctx.rows());
+    for i in 0..ctx.rows() {
         for j in mask.allowed_in_row(i) {
-            let b = tgt_ids[j];
-            let sim = *sims.entry((a, b)).or_insert_with(|| scorer.score(a, b));
-            emit(i, j, sim);
+            emit(i, j, table.cell(i, j));
         }
     }
 }
@@ -269,31 +366,27 @@ impl Matcher for NameMatcher {
             masked_name_sims(ctx, &self.engine, mask, |i, j, sim| b.push(i, j, sim));
             b.finish()
         } else {
-            // Dense: one similarity per distinct name pair, fanned out to
-            // every cell that shares it.
+            // Dense: every cell copied out of its name pair's table row.
             self.compute_rows(ctx, 0..ctx.rows())
         }
     }
 
-    /// A contiguous block of rows of the dense matrix, doing only the
-    /// tokenization and similarity-table work those rows need. Each cell
-    /// depends only on its own (name, name) pair, so the block is
-    /// bit-identical to the same rows of [`Matcher::compute`].
-    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
+    /// A contiguous block of rows of the dense matrix: each row copied
+    /// out of its name's `NameTable` row, filled by whichever compute
+    /// needs it first. Each cell depends only on its own (name, name)
+    /// pair, so the block is bit-identical to the same rows of
+    /// [`Matcher::compute`].
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
             // The engine only shards unrestricted computes; stay correct
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
+        let table = NameTable::of(ctx, &self.engine, rows.clone());
         let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        let (src_ids, src_names) = distinct_keys(rows.clone().map(|i| ctx.source_name(i)));
-        let (tgt_ids, tgt_names) = distinct_keys((0..ctx.cols()).map(|j| ctx.target_name(j)));
-        let table = NameScorer::names(ctx, &self.engine, &src_names, &tgt_names).table();
-        for (i, &a_id) in src_ids.iter().enumerate() {
-            let base = a_id * tgt_names.len();
-            let row = out.row_mut(i);
-            for (dst, &b_id) in row.iter_mut().zip(&tgt_ids) {
-                *dst = table[base + b_id];
+        for (r, i) in rows.enumerate() {
+            for (dst, sim) in out.row_mut(r).iter_mut().zip(table.row_values(i)) {
+                *dst = sim;
             }
         }
         out
@@ -359,7 +452,7 @@ impl Matcher for NamePathMatcher {
     /// every target path. Each cell's similarity is a pure function of
     /// its two long names, so the block is bit-identical to the same rows
     /// of [`Matcher::compute`].
-    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
             // The engine only shards unrestricted computes; stay correct
             // for any other caller by slicing the restricted result.
@@ -413,6 +506,13 @@ impl TypeNameMatcher {
             type_weight,
         }
     }
+
+    /// The weighted combination of a (clamped) name similarity and a
+    /// datatype similarity.
+    fn weighted(&self, name_sim: f64, type_sim: f64) -> f64 {
+        let total = self.name_weight + self.type_weight;
+        (self.name_weight * name_sim + self.type_weight * type_sim) / total
+    }
 }
 
 impl Default for TypeNameMatcher {
@@ -431,78 +531,37 @@ impl Matcher for TypeNameMatcher {
     }
 
     fn compute(&self, ctx: &MatchContext<'_>) -> SimMatrix {
-        let total = self.name_weight + self.type_weight;
-        if let Some(mask) = ctx.restriction {
-            // Sparse: only the allowed cells, built directly into CSR
-            // storage.
-            let types = TypeSims::new(ctx, 0..ctx.rows());
-            let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
-            masked_name_sims(ctx, &self.engine, mask, |i, j, name_sim| {
-                let type_sim = types.get(i, j);
-                let name_sim = name_sim.clamp(0.0, 1.0);
-                b.push(
-                    i,
-                    j,
-                    (self.name_weight * name_sim + self.type_weight * type_sim) / total,
-                );
-            });
-            b.finish()
-        } else {
-            self.compute_rows(ctx, 0..ctx.rows())
-        }
+        let Some(mask) = ctx.restriction else {
+            return self.compute_rows(ctx, 0..ctx.rows());
+        };
+        // Sparse: only the allowed cells, built directly into CSR
+        // storage.
+        let types = TypeSims::new(ctx, 0..ctx.rows());
+        let mut b = SparseBuilder::new(ctx.rows(), ctx.cols());
+        masked_name_sims(ctx, &self.engine, mask, |i, j, name_sim| {
+            b.push(i, j, self.weighted(name_sim, types.get(i, j)));
+        });
+        b.finish()
     }
 
-    /// A contiguous block of rows of the dense matrix, deduplicating
-    /// (name, datatype) profiles over only those rows. Each cell depends
-    /// only on its own pair of profiles, so the block is bit-identical to
-    /// the same rows of [`Matcher::compute`].
-    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: std::ops::Range<usize>) -> SimMatrix {
+    /// A contiguous block of rows of the dense matrix, filled cell by
+    /// cell from the rows' `NameTable` rows and the datatype table.
+    /// Each cell depends only on its own pair of (name, datatype)
+    /// profiles, so the block is bit-identical to the same rows of
+    /// [`Matcher::compute`].
+    fn compute_rows(&self, ctx: &MatchContext<'_>, rows: Range<usize>) -> SimMatrix {
         if ctx.restriction.is_some() {
             // The engine only shards unrestricted computes; stay correct
             // for any other caller by slicing the restricted result.
             return self.compute(ctx).row_range(rows);
         }
-        let total = self.name_weight + self.type_weight;
-        // Dense: one weighted similarity per distinct (name, datatype)
-        // profile pair, fanned out to every cell that shares it. The
-        // per-compute tables are gone before the output buffer exists.
-        let (src_ids, tgt_ids, tgt_count, table) = {
-            let types = TypeSims::new(ctx, rows.clone());
-            let (src_ids, src_profiles) = distinct_keys(
-                rows.clone()
-                    .zip(&types.src)
-                    .map(|(i, &t)| (ctx.source_name(i), t)),
-            );
-            let (tgt_ids, tgt_profiles) = distinct_keys(
-                (0..ctx.cols())
-                    .zip(&types.tgt)
-                    .map(|(j, &t)| (ctx.target_name(j), t)),
-            );
-            // Name similarities deduplicate one level further (profiles
-            // with different datatypes share their name's value).
-            let (src_name_ids, src_names) =
-                distinct_keys(src_profiles.iter().map(|&(name, _)| name));
-            let (tgt_name_ids, tgt_names) =
-                distinct_keys(tgt_profiles.iter().map(|&(name, _)| name));
-            let names = NameScorer::names(ctx, &self.engine, &src_names, &tgt_names).table();
-            let mut table = vec![0.0; src_profiles.len() * tgt_profiles.len()];
-            for (a_id, &(_, a_type)) in src_profiles.iter().enumerate() {
-                for (b_id, &(_, b_type)) in tgt_profiles.iter().enumerate() {
-                    let name_sim = names[src_name_ids[a_id] * tgt_names.len() + tgt_name_ids[b_id]];
-                    let type_sim = types.by_ids(a_type, b_type);
-                    table[a_id * tgt_profiles.len() + b_id] =
-                        ((self.name_weight * name_sim + self.type_weight * type_sim) / total)
-                            .clamp(0.0, 1.0);
-                }
-            }
-            (src_ids, tgt_ids, tgt_profiles.len(), table)
-        };
+        let table = NameTable::of(ctx, &self.engine, rows.clone());
+        let types = TypeSims::new(ctx, rows.clone());
         let mut out = SimMatrix::new(rows.len(), ctx.cols());
-        for (i, &a_id) in src_ids.iter().enumerate() {
-            let base = a_id * tgt_count;
-            let row = out.row_mut(i);
-            for (dst, &b_id) in row.iter_mut().zip(&tgt_ids) {
-                *dst = table[base + b_id];
+        for (r, i) in rows.enumerate() {
+            let cells = out.row_mut(r).iter_mut().zip(table.row_values(i));
+            for (j, (dst, name_sim)) in cells.enumerate() {
+                *dst = self.weighted(name_sim, types.get(r, j)).clamp(0.0, 1.0);
             }
         }
         out
@@ -690,5 +749,42 @@ mod tests {
     #[should_panic]
     fn typename_rejects_zero_weights() {
         let _ = TypeNameMatcher::with_weights(0.0, 0.0);
+    }
+
+    /// One `topk_pruned_plan(5)` execution keeps one name table that its
+    /// fused `Name` stage, its masked `Name`/`TypeName` refine slices and
+    /// the structural leaf table all read: every distinct source name's
+    /// row is filled, and none twice, under any shard count.
+    #[test]
+    fn one_pruned_plan_execution_fills_each_name_row_once() {
+        use crate::engine::{EngineConfig, MatchMemo, PlanEngine};
+        use std::sync::atomic::Ordering;
+        let (s1, s2, aux) = (po1(), po2(), aux());
+        let (p1, p2) = (PathSet::new(&s1).unwrap(), PathSet::new(&s2).unwrap());
+        let library = crate::matchers::MatcherLibrary::standard();
+        let plan = crate::plans::topk_pruned_plan(5);
+        let base = EngineConfig::default();
+        let configs = [
+            base.clone(),
+            base.clone().with_shards(1),
+            base.clone().with_shards(3),
+            base.clone().with_shards(p1.len() + 1),
+            base.with_parallel(false),
+        ];
+        for cfg in configs {
+            let memo = MatchMemo::new();
+            let ctx = MatchContext::new(&s1, &s2, &p1, &p2, &aux);
+            let outcome = PlanEngine::with_config(&library, cfg.clone())
+                .execute_with_memo(&ctx, &plan, &memo)
+                .unwrap();
+            assert!(outcome.stages[0].fused, "{cfg:?}");
+            let table = memo
+                .name_table(&NameEngine::paper_default(), || panic!("no table was kept"))
+                .expect("the execution keeps its name table");
+            let (_, names) = distinct_keys((0..ctx.rows()).map(|i| ctx.source_name(i)));
+            assert_eq!(table.rows.len(), names.len());
+            assert!(table.rows.iter().all(|row| row.get().is_some()), "{cfg:?}");
+            assert_eq!(table.fills.load(Ordering::Relaxed), names.len(), "{cfg:?}");
+        }
     }
 }

@@ -46,7 +46,7 @@ echo "== generation 2: reload the store, match by name =="
 "$SERVER" --socket "$SOCKET" --store "$STORE" &
 SERVER_PID=$!
 
-"$CLI" --server "$SOCKET" list | grep -x cidx > /dev/null || { echo "FAIL: cidx not reloaded"; exit 1; }
+"$CLI" --server "$SOCKET" list | grep -qx cidx || { echo "FAIL: cidx not reloaded"; exit 1; }
 "$CLI" --server "$SOCKET" fetch excel
 "$CLI" --server "$SOCKET" match cidx excel --top-k 5 > "$WORK/second.tsv"
 diff "$WORK/first.tsv" "$WORK/second.tsv" \
@@ -63,7 +63,7 @@ SERVER_PID=""
 "$SERVER" --socket "$SOCKET" --store "$STORE" &
 SERVER_PID=$!
 
-"$CLI" --server "$SOCKET" list | grep -x noris > /dev/null || { echo "FAIL: noris not replayed from the log"; exit 1; }
+"$CLI" --server "$SOCKET" list | grep -qx noris || { echo "FAIL: noris not replayed from the log"; exit 1; }
 "$CLI" --server "$SOCKET" match cidx excel --top-k 5 > "$WORK/third.tsv"
 diff "$WORK/first.tsv" "$WORK/third.tsv" \
     || { echo "FAIL: the server after kill -9 ranks the pair differently"; exit 1; }

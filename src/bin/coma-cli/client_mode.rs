@@ -183,33 +183,37 @@ fn print_response(response: Response, json: bool) -> ExitCode {
             ExitCode::FAILURE
         }
         Response::Pong => {
-            println!("pong");
+            outln!("pong");
             ExitCode::SUCCESS
         }
         Response::ShuttingDown => {
-            println!("server shutting down");
+            outln!("server shutting down");
             ExitCode::SUCCESS
         }
         Response::Flushed => {
-            println!("flushed");
+            outln!("flushed");
             ExitCode::SUCCESS
         }
         Response::SchemaStored(info) | Response::Schema(info) => {
-            println!("{}\t{} nodes\t{} paths", info.name, info.nodes, info.paths);
+            outln!("{}\t{} nodes\t{} paths", info.name, info.nodes, info.paths);
             ExitCode::SUCCESS
         }
         Response::Schemas(names) => {
             for name in names {
-                println!("{name}");
+                outln!("{name}");
             }
             ExitCode::SUCCESS
         }
         Response::Stats(stats) => {
-            println!(
+            outln!(
                 "tenant {}: {} schemas, {} mappings, {} cubes, {} requests",
-                stats.tenant, stats.schemas, stats.mappings, stats.cubes, stats.requests
+                stats.tenant,
+                stats.schemas,
+                stats.mappings,
+                stats.cubes,
+                stats.requests
             );
-            println!(
+            outln!(
                 "cache: {} matrix hits / {} misses, {} index hits / {} misses, \
                  {} result hits / {} misses, {} matrices, {} indexes, {} token sets",
                 stats.cache.matrix_hits,
@@ -227,7 +231,7 @@ fn print_response(response: Response, json: bool) -> ExitCode {
         Response::Matched(matched) => {
             if json {
                 match serde_json::to_string_pretty(&matched) {
-                    Ok(text) => println!("{text}"),
+                    Ok(text) => outln!("{text}"),
                     Err(e) => return fail(e),
                 }
                 return ExitCode::SUCCESS;
@@ -259,7 +263,7 @@ fn print_response(response: Response, json: bool) -> ExitCode {
                 );
             }
             for c in &matched.correspondences {
-                println!("{:.3}\t{}\t{}", c.similarity, c.source_path, c.target_path);
+                outln!("{:.3}\t{}\t{}", c.similarity, c.source_path, c.target_path);
             }
             ExitCode::SUCCESS
         }

@@ -84,8 +84,39 @@ use coma::core::{
 };
 use coma::graph::{PathSet, Schema};
 use coma::repo::MappingKind;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
+
+/// Writes to standard output, the one way this binary does. A reader
+/// that closed the pipe early (`coma-cli … | head -1`, `| grep -q NAME`)
+/// wants no more output, so the process then exits quietly with success
+/// instead of panicking the way `print!` does; any other write error
+/// exits with failure.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to standard output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 mod client_mode;
 
@@ -321,8 +352,8 @@ fn main() -> ExitCode {
     };
 
     if opts.dot {
-        print!("{}", coma::graph::dot::to_dot(&source));
-        print!("{}", coma::graph::dot::to_dot(&target));
+        out!("{}", coma::graph::dot::to_dot(&source));
+        out!("{}", coma::graph::dot::to_dot(&target));
         return ExitCode::SUCCESS;
     }
 
@@ -390,7 +421,7 @@ fn main() -> ExitCode {
             PlanAnalyzer::new(coma.library(), EngineConfig::default()).analyze(&plan, &stats);
         if opts.explain {
             // Report only — nothing executes.
-            print!("{}", analysis.render());
+            out!("{}", analysis.render());
             return if analysis.has_errors() {
                 ExitCode::FAILURE
             } else {
@@ -515,7 +546,7 @@ fn main() -> ExitCode {
         let ctx = MatchContext::new(&source, &target, &sp, &tp, coma.aux());
         let mapping = result.to_mapping(&ctx, MappingKind::Automatic);
         match serde_json::to_string_pretty(&mapping) {
-            Ok(json) => println!("{json}"),
+            Ok(json) => outln!("{json}"),
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
@@ -529,7 +560,7 @@ fn main() -> ExitCode {
             opts.matchers.join(",")
         );
         for c in &result.candidates {
-            println!(
+            outln!(
                 "{:.3}\t{}\t{}",
                 c.similarity,
                 sp.full_name(&source, c.source),

@@ -36,17 +36,8 @@ impl Aggregation {
     /// Panics if the cube is empty, or if a `Weighted` vector's length does
     /// not match the slice count.
     pub fn aggregate(&self, cube: &SimCube) -> SimMatrix {
-        assert!(!cube.is_empty(), "cannot aggregate an empty cube");
+        self.check_slices(cube.len());
         let (m, n, k) = (cube.rows(), cube.cols(), cube.len());
-        if let Aggregation::Weighted(weights) = self {
-            assert_eq!(
-                weights.len(),
-                k,
-                "Weighted aggregation needs one weight per matcher slice"
-            );
-            let total: f64 = weights.iter().sum();
-            assert!(total > 0.0, "weights must not sum to zero");
-        }
         if cube.all_sparse() {
             return self.aggregate_sparse(cube);
         }
@@ -67,20 +58,51 @@ impl Aggregation {
                     *a += v;
                 }
             }),
-            Aggregation::Weighted(weights) => {
-                let total: f64 = weights.iter().sum();
+            Aggregation::Weighted(_) => {
+                let mut values = vec![0.0; k];
                 for i in 0..m {
                     for j in 0..n {
-                        let v: f64 = (0..k)
-                            .map(|s| cube.slice(s).get(i, j) * weights[s])
-                            .sum::<f64>()
-                            / total;
-                        out.set(i, j, v);
+                        for (s, value) in values.iter_mut().enumerate() {
+                            *value = cube.slice(s).get(i, j);
+                        }
+                        out.set(i, j, self.cell(&values));
                     }
                 }
             }
         }
         out
+    }
+
+    /// Panics unless `slices` matrices can be aggregated: at least one,
+    /// and one `Weighted` weight per slice, not summing to zero.
+    pub(crate) fn check_slices(&self, slices: usize) {
+        assert!(slices > 0, "cannot aggregate an empty cube");
+        if let Aggregation::Weighted(weights) = self {
+            assert_eq!(
+                weights.len(),
+                slices,
+                "Weighted aggregation needs one weight per matcher slice"
+            );
+            let total: f64 = weights.iter().sum();
+            assert!(total > 0.0, "weights must not sum to zero");
+        }
+    }
+
+    /// One cell's aggregate over its `values`, one per slice in slice
+    /// order: the arithmetic of [`Aggregation::aggregate`]'s dense path,
+    /// bit for bit. A one-slice cell therefore keeps its value, except
+    /// under `Weighted`, where it becomes `(v · w) / w`.
+    pub(crate) fn cell(&self, values: &[f64]) -> f64 {
+        let (first, rest) = values.split_first().expect("a cell has a value per slice");
+        match self {
+            Aggregation::Max => rest.iter().fold(*first, |a, &v| a.max(v)),
+            Aggregation::Min => rest.iter().fold(*first, |a, &v| a.min(v)),
+            Aggregation::Average => rest.iter().fold(*first, |a, &v| a + v) / values.len() as f64,
+            Aggregation::Weighted(weights) => {
+                let total: f64 = weights.iter().sum();
+                values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / total
+            }
+        }
     }
 
     /// The sparse path: per row, the slices' stored entries are gathered
@@ -229,6 +251,46 @@ mod tests {
         // Non-normalized weights give the same result after normalization.
         let m2 = Aggregation::Weighted(vec![7.0, 3.0]).aggregate(&c);
         assert!((m.get(0, 0) - m2.get(0, 0)).abs() < 1e-12);
+    }
+
+    /// `cell` is the dense path's per-cell arithmetic, bit for bit: over
+    /// two slices, and over one, where `Weighted` turns `v` into
+    /// `(v · w) / w` (not always `v`).
+    #[test]
+    fn cell_repeats_the_dense_aggregate() {
+        let two = cube();
+        let mut one = SimCube::new();
+        let mut slice = SimMatrix::new(1, 3);
+        for (j, v) in [0.1, 0.7, 0.9].into_iter().enumerate() {
+            slice.set(0, j, v);
+        }
+        one.push("A", slice);
+        for aggregation in [
+            Aggregation::Max,
+            Aggregation::Min,
+            Aggregation::Average,
+            Aggregation::Weighted(vec![0.3, 0.9]),
+            Aggregation::Weighted(vec![0.7]),
+        ] {
+            for c in [&two, &one] {
+                if let Aggregation::Weighted(w) = &aggregation {
+                    if w.len() != c.len() {
+                        continue;
+                    }
+                }
+                let dense = aggregation.aggregate(c);
+                for j in 0..c.cols() {
+                    let values: Vec<f64> = (0..c.len()).map(|s| c.slice(s).get(0, j)).collect();
+                    let got = aggregation.cell(&values);
+                    assert_eq!(got.to_bits(), dense.get(0, j).to_bits(), "{aggregation}");
+                }
+            }
+        }
+        let weighted = Aggregation::Weighted(vec![0.7]);
+        assert!((0..100).any(|v| {
+            let v = f64::from(v) / 100.0;
+            weighted.cell(&[v]) != v
+        }));
     }
 
     #[test]

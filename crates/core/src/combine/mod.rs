@@ -23,7 +23,7 @@ pub use aggregation::Aggregation;
 pub(crate) use combined::max1_both_combined;
 pub use combined::CombinedSim;
 pub use marriage::stable_marriage;
-pub(crate) use selection::{directional_wants, rank_entries, sort_desc};
+pub(crate) use selection::{directional_wants, rank_entries, sort_desc, KeyedMatrix};
 pub use selection::{DirectedCandidates, Direction, Selection};
 
 use serde::{Deserialize, Serialize};

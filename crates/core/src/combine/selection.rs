@@ -1,6 +1,7 @@
 use crate::cube::SimMatrix;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Step 2a: match direction (paper, Section 6.2).
@@ -88,6 +89,18 @@ impl Selection {
     /// Cuts `ranked`, a descending-sorted list of
     /// `(candidate index, similarity)`, to the selected candidates.
     fn apply(&self, ranked: &mut Vec<(usize, f64)>) {
+        self.cut_values(ranked);
+        if let Some(n) = self.max_n {
+            ranked.truncate(n);
+        }
+    }
+
+    /// The value cuts of [`Selection::apply`], everything but `max_n`:
+    /// the threshold, the delta below the first (best) entry, and zeros.
+    /// Each keeps a prefix of a descending list, and zeros sort behind
+    /// every positive entry, so cutting them before the `max_n` prefix
+    /// keeps what cutting them after it keeps.
+    fn cut_values(&self, ranked: &mut Vec<(usize, f64)>) {
         if let Some(t) = self.threshold {
             ranked.retain(|&(_, s)| s > t);
         }
@@ -96,9 +109,6 @@ impl Selection {
                 let cutoff = best * (1.0 - d);
                 ranked.retain(|&(_, s)| s >= cutoff);
             }
-        }
-        if let Some(n) = self.max_n {
-            ranked.truncate(n);
         }
         // Zero-similarity candidates are never match candidates.
         ranked.retain(|&(_, s)| s > 0.0);
@@ -246,6 +256,49 @@ impl DirectedCandidates {
         }
     }
 
+    /// [`DirectedCandidates::select`] over a matrix in key space, without
+    /// expanding it: each row key's candidate columns are ranked once and
+    /// each column key's candidate rows once ([`rank_keyed`]), then every
+    /// element gets a copy of its key's list. Bit-identical to `select`
+    /// over the expanded `m × n` matrix, whose rows (and columns) with
+    /// equal keys are equal. The work is `O(row keys × column keys)` plus
+    /// the candidates kept; no list is longer than the selection keeps.
+    pub(crate) fn select_keyed(
+        matrix: &KeyedMatrix<'_, impl Fn(usize, usize) -> f64>,
+        direction: Direction,
+        selection: &Selection,
+    ) -> DirectedCandidates {
+        let (row_key, col_key) = (matrix.row_key, matrix.col_key);
+        let (row_keys, col_keys) = matrix.keys;
+        let (want_for_targets, want_for_sources) =
+            directional_wants(direction, row_key.len(), col_key.len());
+        let value = &matrix.value;
+        let mut scratch = Vec::new();
+        let mut ranked = |across: usize, groups: &[Vec<usize>], value: &dyn Fn(usize) -> f64| {
+            scratch.clear();
+            scratch.extend((0..across).map(|key| (key, value(key))));
+            rank_keyed(&mut scratch, groups, selection)
+        };
+        let for_sources = want_for_sources.then(|| {
+            let targets = key_groups(col_key, col_keys);
+            let lists: Vec<_> = (0..row_keys)
+                .map(|a| ranked(col_keys, &targets, &|b| value(a, b)))
+                .collect();
+            row_key.iter().map(|&a| lists[a as usize].clone()).collect()
+        });
+        let for_targets = want_for_targets.then(|| {
+            let sources = key_groups(row_key, row_keys);
+            let lists: Vec<_> = (0..col_keys)
+                .map(|b| ranked(row_keys, &sources, &|a| value(a, b)))
+                .collect();
+            col_key.iter().map(|&b| lists[b as usize].clone()).collect()
+        });
+        DirectedCandidates {
+            for_targets,
+            for_sources,
+        }
+    }
+
     /// Flattens the directional candidates into the final set of
     /// `(source, target, sim)` pairs. With both directions present, a pair
     /// must be selected in **both** to survive (the paper's `Both`
@@ -342,6 +395,91 @@ pub(crate) fn rank_entries(ranked: &mut Vec<(usize, f64)>, selection: &Selection
     }
     sort_desc(ranked);
     selection.apply(ranked);
+}
+
+/// An `m × n` similarity matrix in key space: cell `(i, j)` holds
+/// `value(row_key[i], col_key[j])`, over `keys.0` distinct row keys and
+/// `keys.1` distinct column keys, each carried by at least one element
+/// (the distinct element names of a name-keyed stage).
+pub(crate) struct KeyedMatrix<'k, V> {
+    /// The key of each row.
+    pub(crate) row_key: &'k [u32],
+    /// The key of each column.
+    pub(crate) col_key: &'k [u32],
+    /// The distinct (row, column) key counts.
+    pub(crate) keys: (usize, usize),
+    /// The value of a (row key, column key) pair.
+    pub(crate) value: V,
+}
+
+/// The elements of each of `keys` keys, in ascending order.
+fn key_groups(key_of: &[u32], keys: usize) -> Vec<Vec<usize>> {
+    let mut groups = vec![Vec::new(); keys];
+    for (element, &key) in key_of.iter().enumerate() {
+        groups[key as usize].push(element);
+    }
+    debug_assert!(
+        groups.iter().all(|g| !g.is_empty()),
+        "every key has an element"
+    );
+    groups
+}
+
+/// The per-element ranking of [`rank_entries`] in key space: `keys` holds
+/// one element's `(key, similarity)` entries over distinct keys, each key
+/// standing for all of its elements in `groups`. Returns what
+/// `rank_entries` keeps of the expanded `(element, similarity)` entries,
+/// best first, equal values in ascending element order.
+///
+/// Keys are ranked before any is expanded: under a `max_n` of `k` only
+/// the `k` best keys and the keys tying the `k`-th can hold a kept
+/// element (each key holds at least one), and the value cuts of the
+/// selection apply to keys as they would to their elements. Expansion
+/// then walks the keys best first, merging the elements of keys with
+/// equal values by index, and stops at `k` elements.
+fn rank_keyed(
+    keys: &mut Vec<(usize, f64)>,
+    groups: &[Vec<usize>],
+    selection: &Selection,
+) -> Vec<(usize, f64)> {
+    let floor = selection.threshold.unwrap_or(f64::NEG_INFINITY);
+    keys.retain(|&(_, s)| s > floor && s > 0.0);
+    let cap = selection.max_n.unwrap_or(usize::MAX);
+    if cap == 0 {
+        return Vec::new();
+    }
+    if cap < keys.len() {
+        keys.select_nth_unstable_by(cap - 1, desc);
+        let kth = keys[cap - 1].1;
+        keys.retain(|&(_, s)| s >= kth);
+    }
+    sort_desc(keys);
+    selection.cut_values(keys);
+    let mut out = Vec::new();
+    let mut rest = keys.as_slice();
+    while out.len() < cap {
+        let Some(&(_, sim)) = rest.first() else {
+            break;
+        };
+        let tied = rest.iter().take_while(|&&(_, s)| s == sim).count();
+        let (group, tail) = rest.split_at(tied);
+        rest = tail;
+        // The elements of the keys holding this value, merged by index.
+        let mut heads: BinaryHeap<_> = group
+            .iter()
+            .map(|&(key, _)| Reverse((groups[key][0], key, 0)))
+            .collect();
+        while out.len() < cap {
+            let Some(Reverse((element, key, at))) = heads.pop() else {
+                break;
+            };
+            out.push((element, sim));
+            if let Some(&next) = groups[key].get(at + 1) {
+                heads.push(Reverse((next, key, at + 1)));
+            }
+        }
+    }
+    out
 }
 
 /// The single best nonzero candidate (strictly greater wins, so the first
@@ -448,6 +586,71 @@ mod tests {
         m.set(1, 0, 0.5);
         let dc = DirectedCandidates::select(&m, Direction::LargeSmall, &Selection::max_n(1));
         assert_eq!(dc.pairs(), vec![(0, 0, 0.5)]);
+    }
+
+    /// `select_keyed` equals `select` over the expanded matrix, for every
+    /// direction and a spread of selections, on keyed matrices whose
+    /// values come from five levels, so distinct keys tie often and a
+    /// tie group holds more elements than a `max_n` keeps.
+    #[test]
+    fn select_keyed_equals_select_over_the_expanded_matrix() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((state >> 33) % bound) as usize
+        };
+        let selections = [
+            Selection::max_n(1),
+            Selection::max_n(2),
+            Selection::max_n(3).with_threshold(0.25),
+            Selection::threshold(0.5),
+            Selection::delta(0.5).with_threshold(0.0),
+            Selection {
+                delta: Some(0.3),
+                ..Selection::max_n(4)
+            },
+            Selection::max_n(0),
+        ];
+        for (m, n, row_keys, col_keys) in [(9, 7, 3, 4), (6, 11, 6, 2), (12, 12, 1, 5)] {
+            let mut row_key: Vec<u32> = (0..m).map(|i| (i % row_keys) as u32).collect();
+            let mut col_key: Vec<u32> = (0..n).map(|j| (j % col_keys) as u32).collect();
+            for keys in [&mut row_key, &mut col_key] {
+                for i in (1..keys.len()).rev() {
+                    keys.swap(i, next(i as u64 + 1));
+                }
+            }
+            let table: Vec<f64> = (0..row_keys * col_keys)
+                .map(|_| next(5) as f64 / 4.0)
+                .collect();
+            let value = |a: usize, b: usize| table[a * col_keys + b];
+            let mut expanded = SimMatrix::new(m, n);
+            for (i, &a) in row_key.iter().enumerate() {
+                for (j, &b) in col_key.iter().enumerate() {
+                    expanded.set(i, j, value(a as usize, b as usize));
+                }
+            }
+            let keyed = KeyedMatrix {
+                row_key: &row_key,
+                col_key: &col_key,
+                keys: (row_keys, col_keys),
+                value,
+            };
+            for direction in [
+                Direction::LargeSmall,
+                Direction::SmallLarge,
+                Direction::Both,
+            ] {
+                for selection in &selections {
+                    assert_eq!(
+                        DirectedCandidates::select_keyed(&keyed, direction, selection),
+                        DirectedCandidates::select(&expanded, direction, selection),
+                        "{m}x{n} over {row_keys}x{col_keys} keys, {direction}, {selection}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

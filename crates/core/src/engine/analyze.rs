@@ -66,7 +66,7 @@ use super::memo::matcher_identity;
 use super::plan::{MatchPlan, TopKPer};
 use super::rules::{self, Unfusable};
 use super::EngineConfig;
-use crate::combine::{Direction, Selection};
+use crate::combine::{CombinationStrategy, Direction, Selection};
 use crate::matchers::context::{Auxiliary, MatchContext};
 use crate::matchers::{Matcher, MatcherLibrary};
 use coma_graph::{PathSet, Schema};
@@ -384,6 +384,9 @@ pub struct NodeFacts {
     pub storage_sparse: Tri,
     /// Will the stage execute on the streaming-fused path?
     pub fused: Tri,
+    /// Will the fused stage select in key space, over distinct element
+    /// names ([`StageOutcome::key_space`](super::StageOutcome))?
+    pub key_space: Tri,
     /// Upper bound on the stage's executed shard count
     /// ([`StageOutcome::shards`](super::StageOutcome)); automatic sizing
     /// depends on the machine's parallelism.
@@ -409,6 +412,7 @@ impl NodeFacts {
             density_hi: density(out, cells),
             storage_sparse: storage,
             fused: Tri::No,
+            key_space: Tri::No,
             shards_estimate: 1,
             peak_bytes: peak,
             warmth: None,
@@ -475,6 +479,12 @@ impl PlanAnalysis {
         self.join_over_label(label, |f| f.fused)
     }
 
+    /// The key-space prediction for `label`, joined like
+    /// [`PlanAnalysis::storage_prediction`].
+    pub fn key_space_prediction(&self, label: &str) -> Tri {
+        self.join_over_label(label, |f| f.key_space)
+    }
+
     fn join_over_label(&self, label: &str, get: impl Fn(&NodeFacts) -> Tri) -> Tri {
         let mut out: Option<Tri> = None;
         for facts in self.nodes.iter().filter(|f| f.label == label) {
@@ -528,10 +538,17 @@ impl PlanAnalysis {
             };
             let _ = writeln!(
                 out,
-                "  {:width$}  storage_sparse={} fused={} shards<={} pairs<={} (density<={:.3}) peak<={}{}",
+                "  {:width$}  storage_sparse={} fused={}{} shards<={} pairs<={} (density<={:.3}) peak<={}{}",
                 f.path,
                 f.storage_sparse,
                 f.fused,
+                match f.key_space {
+                    Tri::No => String::new(),
+                    keyed => format!(
+                        " key_space={keyed} ({}x{} names)",
+                        s.source_distinct_names, s.target_distinct_names
+                    ),
+                },
                 f.shards_estimate,
                 f.out_pairs_hi,
                 f.density_hi,
@@ -940,18 +957,13 @@ impl<'a> PlanAnalyzer<'a> {
                 let matrix_storage = self.pair_matrix_storage(inner, cells);
                 let sel = selection_pairs_bound(selection, *direction, m, n);
                 let out = bounded(sel, inner, 0, cells);
-                let mut peak = self
+                let peak = self
                     .pair_matrix_bytes(inner, cells, matrix_storage)
                     .saturating_add(out.saturating_mul(RESULT_ENTRY))
                     .saturating_add(NODE_SLACK);
-                if fused != Tri::No {
-                    peak = peak.saturating_add(self.fused_peak(input, stats));
-                }
-                walk.nodes.push(NodeFacts {
-                    fused,
-                    shards_estimate: rules::fused_shards(&self.cfg, stats.rows),
-                    ..NodeFacts::new(path, plan, out, cells, matrix_storage, peak)
-                });
+                let facts = NodeFacts::new(path, plan, out, cells, matrix_storage, peak);
+                walk.nodes
+                    .push(self.fused_facts(facts, input, fused, stats));
                 out
             }
             MatchPlan::TopK { input, k, per } => {
@@ -963,20 +975,15 @@ impl<'a> PlanAnalyzer<'a> {
                 // top-k keep mask, whose density is bounded statically.
                 let storage = self.storage_within(density(keep_hi, cells));
                 let matrix_storage = self.pair_matrix_storage(inner, cells);
-                let mut peak = self
+                let peak = self
                     .pair_matrix_bytes(inner, cells, matrix_storage)
                     .saturating_add(cells / 8 + 64) // keep-mask bitset
                     .saturating_add(self.pair_matrix_bytes(out, cells, storage))
                     .saturating_add(out.saturating_mul(RESULT_ENTRY))
                     .saturating_add(NODE_SLACK);
-                if fused != Tri::No {
-                    peak = peak.saturating_add(self.fused_peak(input, stats));
-                }
-                walk.nodes.push(NodeFacts {
-                    fused,
-                    shards_estimate: rules::fused_shards(&self.cfg, stats.rows),
-                    ..NodeFacts::new(path, plan, out, cells, storage, peak)
-                });
+                let facts = NodeFacts::new(path, plan, out, cells, storage, peak);
+                walk.nodes
+                    .push(self.fused_facts(facts, input, fused, stats));
                 out
             }
             MatchPlan::Iterate {
@@ -1376,6 +1383,43 @@ impl<'a> PlanAnalyzer<'a> {
             .saturating_add(NODE_SLACK)
     }
 
+    /// The facts of a prunable (`Filter`/`TopK`) node whose input fuses
+    /// as `fused`: whether it selects in key space
+    /// ([`rules::selects_in_key_space`] on the task's distinct-name
+    /// counts), its shard bound (one in key space), and its fused
+    /// pipeline's bytes added to the node's own `facts.peak_bytes`.
+    fn fused_facts(
+        &self,
+        facts: NodeFacts,
+        input: &MatchPlan,
+        fused: Tri,
+        stats: &TaskStats,
+    ) -> NodeFacts {
+        let keyed = rules::fusable_leaf(&self.cfg, self.library, input, stats.feedback_pins)
+            .is_ok_and(|(matchers, _)| {
+                let names = (stats.source_distinct_names, stats.target_distinct_names);
+                rules::selects_in_key_space(&matchers, names.0, names.1)
+            });
+        // Whether the stage fuses may depend on its restriction; how it
+        // would fuse does not. Unfused, it reports one shard too.
+        let (key_space, shards_estimate, fused_bytes) = match (fused, keyed) {
+            (Tri::No, _) => (Tri::No, rules::fused_shards(&self.cfg, stats.rows), 0),
+            (fused, true) => (fused, 1, self.keyed_peak(input, stats)),
+            (_, false) => (
+                Tri::No,
+                rules::fused_shards(&self.cfg, stats.rows),
+                self.fused_peak(input, stats),
+            ),
+        };
+        NodeFacts {
+            fused,
+            key_space,
+            shards_estimate,
+            peak_bytes: facts.peak_bytes.saturating_add(fused_bytes),
+            ..facts
+        }
+    }
+
     /// In-flight bound of the fused pipeline for `input` (a `Matchers`
     /// leaf): `threads × shard slice bytes` as [`rules::fused_threads`]
     /// sizes them, plus the CSR fragments/pools and the survivor matrix.
@@ -1394,20 +1438,43 @@ impl<'a> PlanAnalyzer<'a> {
         let (m, n) = (stats.rows, stats.cols);
         let shards = rules::fused_shards(&self.cfg, m);
         let (threads, inflight) = rules::fused_threads(usize::MAX, shards, m, n, matchers.len());
-        let sel = selection_pairs_bound(
-            &combination.selection,
-            combination.direction,
-            m as u64,
-            n as u64,
-        );
-        let survivors = bounded(sel, stats.cells(), 0, stats.cells());
         (threads as u64)
             .saturating_mul(inflight)
-            .saturating_add(survivors.saturating_mul(SPARSE_ENTRY).saturating_mul(3))
+            .saturating_add(
+                fused_survivors(combination, stats)
+                    .saturating_mul(SPARSE_ENTRY)
+                    .saturating_mul(3),
+            )
             // A fused Leaves still builds the shared full-pair leaf
             // table inside its workers — the in-flight shard budget
             // does not cover it.
             .saturating_add(self.structural_scratch(&self.resolve_quiet(matchers), stats))
+    }
+
+    /// Bound of a key-space stage over `input` (a `Matchers` leaf),
+    /// beyond the kept name table [`PlanAnalyzer::prep_bound`] charges,
+    /// at [`SPARSE_ENTRY`] per unit: the candidate lists, at most
+    /// `(m + n) × max_n` entries (twice the survivor bound without a
+    /// `max_n`: both directions' lists and the per-name lists they are
+    /// copied from, with growth slack), the survivor pairs and their
+    /// result, and six units per element for what is per element or per
+    /// name: two list headers, a per-name list's first allocation, the
+    /// key groups, the ranking scratch and the table's row index. No
+    /// shard slice exists.
+    fn keyed_peak(&self, input: &MatchPlan, stats: &TaskStats) -> u64 {
+        let MatchPlan::Matchers { combination, .. } = input else {
+            return 0;
+        };
+        let elements = (stats.rows as u64).saturating_add(stats.cols as u64);
+        let survivors = fused_survivors(combination, stats);
+        let lists = match combination.selection.max_n {
+            Some(k) => (k as u64).saturating_mul(elements),
+            None => survivors.saturating_mul(2),
+        };
+        lists
+            .saturating_add(survivors)
+            .saturating_add(elements.saturating_mul(6))
+            .saturating_mul(SPARSE_ENTRY)
     }
 
     /// Upper bound of a leaf's executed shard count: a fresh full
@@ -1442,6 +1509,13 @@ fn selection_pairs_bound(
         Direction::Both => k.saturating_mul(m.saturating_add(n)),
         Direction::LargeSmall | Direction::SmallLarge => k.saturating_mul(m.max(n)),
     })
+}
+
+/// Upper bound on the cells a fused leaf's selection keeps.
+fn fused_survivors(combination: &CombinationStrategy, stats: &TaskStats) -> u64 {
+    let (m, n) = (stats.rows as u64, stats.cols as u64);
+    let sel = selection_pairs_bound(&combination.selection, combination.direction, m, n);
+    bounded(sel, stats.cells(), 0, stats.cells())
 }
 
 /// Upper bound on the pairs a `TopK` keep mask admits.

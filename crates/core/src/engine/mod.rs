@@ -29,7 +29,10 @@
 //!   allocated, and the result is bit-identical to the unfused path
 //!   (property-tested; see [`EngineConfig::fuse_pruning`]). Fused stages
 //!   report [`StageOutcome::fused`] and skip materializing the inner
-//!   `Matchers` stage;
+//!   `Matchers` stage. Over a leaf whose only matcher is name-keyed
+//!   (`Name`) the stage skips the row shards too and selects in key
+//!   space: each distinct element name is ranked once, through the
+//!   execution's name table ([`StageOutcome::key_space`]);
 //! * **memoized shared work** — a per-execution [`MatchMemo`] caches
 //!   tokenizations and per-matcher matrices, so
 //!   hybrids and overlapping sub-plans stop recomputing constituents (with
@@ -124,10 +127,11 @@ pub use memo::{matcher_identity, MatchMemo};
 pub use plan::{MatchPlan, PlanError, PlanErrorKind, TopKPer};
 pub(crate) use rules::keep_name_table;
 
-use crate::combine::{directional_wants, CombinationStrategy, DirectedCandidates};
+use crate::combine::{directional_wants, CombinationStrategy, DirectedCandidates, KeyedMatrix};
 use crate::cube::{SimCube, SimMatrix, SparseBuilder};
 use crate::error::{CoreError, Result};
 use crate::matchers::context::MatchContext;
+use crate::matchers::hybrid::NameTable;
 use crate::matchers::{Matcher, MatcherLibrary};
 use crate::process::{combine_cube_with_feedback, MatchOutcome};
 use crate::result::MatchResult;
@@ -156,11 +160,18 @@ pub struct StageOutcome {
     pub shards: usize,
     /// Whether this stage executed as a fused compute→prune pipeline
     /// (see [`EngineConfig::fuse_pruning`]): the stage's input leaf was
-    /// computed, aggregated and pruned shard by shard, no inner
-    /// `Matchers` stage was materialized, and the full dense similarity
-    /// matrix never existed. The stage's cube holds only the surviving
-    /// cells (its stored-entry count is the real memory footprint).
+    /// computed, aggregated and pruned shard by shard (or in key space),
+    /// no inner `Matchers` stage was materialized, and the full dense
+    /// similarity matrix never existed. The stage's cube holds only the
+    /// surviving cells (its stored-entry count is the real memory
+    /// footprint).
     pub fused: bool,
+    /// For a fused stage that selected in key space (its leaf's only
+    /// matcher is name-keyed, and the execution kept its name table):
+    /// the distinct (source, target) element names it ranked over. Such
+    /// a stage reports one shard. `None` for every other stage. Surfaced
+    /// by `coma-cli --verbose`.
+    pub key_space: Option<(usize, usize)>,
     /// Index build/traffic statistics when this stage was a
     /// [`MatchPlan::CandidateIndex`] leaf (surfaced by
     /// `coma-cli --verbose`); `None` for every other stage kind.
@@ -183,10 +194,33 @@ impl StageOutcome {
             result: result.clone(),
             shards: 1,
             fused: false,
+            key_space: None,
             index_stats: None,
             reuse_stats: None,
         }
     }
+
+    /// This stage as its input's fused execution (if any) ran it.
+    fn fused_by(self, fused: Option<Fused>) -> StageOutcome {
+        match fused {
+            Some(run) => StageOutcome {
+                shards: run.shards,
+                fused: true,
+                key_space: run.keys,
+                ..self
+            },
+            None => self,
+        }
+    }
+}
+
+/// How a prunable stage's fused input executed: the row shards its
+/// pipeline pruned (1 in key space), and its distinct (source, target)
+/// name counts when it selected in key space.
+#[derive(Clone, Copy)]
+struct Fused {
+    shards: usize,
+    keys: Option<(usize, usize)>,
 }
 
 /// The outcome of executing a plan: the final match result plus every
@@ -555,7 +589,7 @@ impl<'l> PlanEngine<'l> {
                 selection,
                 combined_sim,
             } => {
-                let (inner, fused_shards) = self.prunable_input(ctx, input, mask, stages)?;
+                let (inner, fused) = self.prunable_input(ctx, input, mask, stages)?;
                 let matrix = self.pair_matrix(&ctx, &inner);
                 let candidates = DirectedCandidates::select(&matrix, *direction, selection);
                 let schema_similarity =
@@ -564,15 +598,11 @@ impl<'l> PlanEngine<'l> {
                     MatchResult::from_pairs(&ctx, candidates.pairs(), Some(schema_similarity));
                 let mut cube = SimCube::new();
                 cube.push("Filtered", matrix);
-                stages.push(StageOutcome {
-                    shards: fused_shards.unwrap_or(1),
-                    fused: fused_shards.is_some(),
-                    ..StageOutcome::new(plan.label(), cube, &result)
-                });
+                stages.push(StageOutcome::new(plan.label(), cube, &result).fused_by(fused));
                 Ok(result)
             }
             MatchPlan::TopK { input, k, per } => {
-                let (inner, fused_shards) = self.prunable_input(ctx, input, mask, stages)?;
+                let (inner, fused) = self.prunable_input(ctx, input, mask, stages)?;
                 let matrix = self.pair_matrix(&ctx, &inner);
                 let keep = PairMask::top_k_of(&matrix, *k, *per);
                 let kept: Vec<(usize, usize, f64)> = inner
@@ -589,11 +619,7 @@ impl<'l> PlanEngine<'l> {
                 let result = MatchResult::from_pairs(&ctx, kept, Some(average_similarity(&pruned)));
                 let mut cube = SimCube::new();
                 cube.push("TopK", pruned);
-                stages.push(StageOutcome {
-                    shards: fused_shards.unwrap_or(1),
-                    fused: fused_shards.is_some(),
-                    ..StageOutcome::new(plan.label(), cube, &result)
-                });
+                stages.push(StageOutcome::new(plan.label(), cube, &result).fused_by(fused));
                 Ok(result)
             }
             MatchPlan::Iterate {
@@ -850,28 +876,105 @@ impl<'l> PlanEngine<'l> {
     /// Executes a prunable stage's input: streaming-fused when
     /// [`rules::fusable_leaf`] admits the leaf and the stage runs
     /// unrestricted — bit-identical to the regular recursive execution
-    /// (property-tested) — and then also returns the fused pipeline's
-    /// shard count.
+    /// (property-tested) — and then also returns how the fused input ran.
     fn prunable_input(
         &self,
         ctx: MatchContext<'_>,
         input: &MatchPlan,
         mask: Option<&PairMask>,
         stages: &mut Vec<StageOutcome>,
-    ) -> Result<(MatchResult, Option<usize>)> {
+    ) -> Result<(MatchResult, Option<Fused>)> {
         let feedback = ctx.aux.feedback.len();
         match rules::fusable_leaf(&self.cfg, self.library, input, feedback) {
             Ok((matchers, combination)) if mask.is_none() => {
-                let (result, shards) = self.fused_leaf(ctx, &matchers, combination);
-                Ok((result, Some(shards)))
+                let (result, fused) = self.fused_leaf(ctx, &matchers, combination);
+                Ok((result, Some(fused)))
             }
             _ => Ok((self.exec(ctx, input, mask, stages)?, None)),
         }
     }
 
-    /// The fused pipeline behind [`PlanEngine::prunable_input`] — the engine's
-    /// third execution mode, next to dense and sparse-restricted. Each
-    /// row shard (sized by [`rules::fused_shards`]) runs
+    /// The fused pipeline behind [`PlanEngine::prunable_input`] — the
+    /// engine's third execution mode, next to dense and
+    /// sparse-restricted. It builds the leaf's global directional
+    /// candidate lists without materializing the dense `m × n` aggregate,
+    /// in one of two ways, and finishes like `combine_cube_with_feedback`
+    /// on that aggregate (feedback is empty: `rules::fusable_leaf`
+    /// requires it):
+    ///
+    /// * **in key space** ([`PlanEngine::keyed_candidates`]), where
+    ///   [`rules::selects_in_key_space`] admits the leaf: its one
+    ///   name-keyed matcher's cells come from the execution's kept name
+    ///   table, so each distinct name is ranked once and its list copied
+    ///   to every path carrying the name;
+    /// * **row-sharded** ([`PlanEngine::sharded_candidates`]) for every
+    ///   other fusable leaf.
+    fn fused_leaf(
+        &self,
+        ctx: MatchContext<'_>,
+        matchers: &[(String, Arc<dyn Matcher>)],
+        combination: &CombinationStrategy,
+    ) -> (MatchResult, Fused) {
+        // The key-space rule on runtime values: the memo keeps the name
+        // table exactly when `rules::keep_name_table` admits the task's
+        // distinct names.
+        let table =
+            rules::key_space_engine(matchers).and_then(|engine| NameTable::kept(&ctx, engine));
+        let (candidates, fused) = match table {
+            Some(table) => self.keyed_candidates(&table, combination),
+            None => self.sharded_candidates(ctx, matchers, combination),
+        };
+        let (m, n) = (ctx.rows(), ctx.cols());
+        let schema_similarity = combination.combined_sim.compute(&candidates, m, n);
+        let result = MatchResult::from_pairs(&ctx, candidates.pairs(), Some(schema_similarity));
+        (result, fused)
+    }
+
+    /// The leaf's candidate lists in key space, over the execution's kept
+    /// name table: its rows are filled split over the workers
+    /// ([`rules::name_fill_threads`] on [`rules::run_chunks`]), the
+    /// leaf's aggregation is applied to each
+    /// distinct name pair with its own per-cell arithmetic, and
+    /// [`DirectedCandidates::select_keyed`] ranks each distinct source
+    /// name's columns and each distinct target name's rows once. The
+    /// cost is `O(source names × target names)` plus the candidates kept.
+    fn keyed_candidates(
+        &self,
+        table: &NameTable,
+        combination: &CombinationStrategy,
+    ) -> (DirectedCandidates, Fused) {
+        let (source_names, target_names) = table.names();
+        let (row_key, col_key) = table.keys();
+        let names: Vec<u32> = (0..source_names as u32).collect();
+        let threads = rules::name_fill_threads(&self.cfg, row_key.len());
+        rules::run_chunks(&names, threads, |chunk| {
+            chunk.iter().for_each(|&a| {
+                table.row(a);
+            });
+        });
+        let rows: Vec<&[f64]> = names.iter().map(|&a| table.row(a)).collect();
+        let aggregation = &combination.aggregation;
+        aggregation.check_slices(1);
+        let matrix = KeyedMatrix {
+            row_key,
+            col_key,
+            keys: (source_names, target_names),
+            value: |a: usize, b: usize| aggregation.cell(&[rows[a][b]]),
+        };
+        let candidates = DirectedCandidates::select_keyed(
+            &matrix,
+            combination.direction,
+            &combination.selection,
+        );
+        let fused = Fused {
+            shards: 1,
+            keys: Some((source_names, target_names)),
+        };
+        (candidates, fused)
+    }
+
+    /// The leaf's candidate lists through row shards. Each row shard
+    /// (sized by [`rules::fused_shards`]) runs
     /// [`compute_rows`](crate::Matcher::compute_rows) for every matcher,
     /// aggregates the shard cube, and applies the leaf's selection
     /// *inside the shard*:
@@ -889,14 +992,13 @@ impl<'l> PlanEngine<'l> {
     /// survivor matrix (row fragments ∪ pooled cells) is then exactly
     /// the global selection: every globally selected cell is present
     /// bit-identically, and any extra cell is outranked in its row or
-    /// column by the same cells that outranked it globally. The full
-    /// dense `m × n` aggregate is never materialized.
-    fn fused_leaf(
+    /// column by the same cells that outranked it globally.
+    fn sharded_candidates(
         &self,
         ctx: MatchContext<'_>,
         matchers: &[(String, Arc<dyn Matcher>)],
         combination: &CombinationStrategy,
-    ) -> (MatchResult, usize) {
+    ) -> (DirectedCandidates, Fused) {
         let (m, n) = (ctx.rows(), ctx.cols());
         let ranges = shard_ranges(m, rules::fused_shards(&self.cfg, m));
         let shards = ranges.len().max(1);
@@ -911,16 +1013,9 @@ impl<'l> PlanEngine<'l> {
             self.fused_worker(ctx, matchers, combination, chunk)
         });
         let survivors = merge_pooled(row_side, pooled);
-
-        // Identical to `combine_cube_with_feedback` on the full
-        // aggregate: feedback is empty (`rules::fusable_leaf` requires
-        // it), and the selection over the survivor matrix reproduces the
-        // global directional candidate lists exactly.
         let candidates =
             DirectedCandidates::select(&survivors, combination.direction, &combination.selection);
-        let schema_similarity = combination.combined_sim.compute(&candidates, m, n);
-        let result = MatchResult::from_pairs(&ctx, candidates.pairs(), Some(schema_similarity));
-        (result, shards)
+        (candidates, Fused { shards, keys: None })
     }
 
     /// One fused worker: runs its contiguous chunk of row shards

@@ -1,6 +1,7 @@
 //! The engine's execution decisions, each defined once: storage, fusion,
-//! shard, worker and fused-thread counts, whether an execution keeps its
-//! name table, and whether a plan's final result may be cached.
+//! key-space selection, shard, worker and fused-thread counts, whether an
+//! execution keeps its name table, and whether a plan's final result may
+//! be cached.
 //! [`PlanEngine`](super::PlanEngine) and the name matchers evaluate these
 //! rules on runtime values and [`PlanAnalyzer`](super::PlanAnalyzer) on
 //! its static bounds, so a prediction cannot drift from what it predicts.
@@ -11,6 +12,7 @@
 use super::{EngineConfig, MatchPlan};
 use crate::combine::{rank_entries, CombinationStrategy, Selection};
 use crate::cube::{SimMatrix, SparseBuilder};
+use crate::matchers::name_engine::NameEngine;
 use crate::matchers::{Matcher, MatcherLibrary};
 use std::ops::Range;
 use std::sync::Arc;
@@ -120,6 +122,33 @@ pub(super) fn fusable_leaf<'p>(
     }
 }
 
+/// The key-space rule: a fused prunable stage selects over the task's
+/// distinct element names instead of its paths when the leaf's only
+/// matcher is name-keyed ([`Matcher::name_keyed`]) and the execution
+/// keeps that matcher's name table ([`keep_name_table`] over
+/// `source_names × target_names` distinct names). Every cell is then a
+/// function of its two names, so rows (and columns) with equal names
+/// are equal and each is ranked once per name. Otherwise the stage runs
+/// the row-sharded pipeline.
+pub(super) fn selects_in_key_space(
+    matchers: &[(String, Arc<dyn Matcher>)],
+    source_names: usize,
+    target_names: usize,
+) -> bool {
+    key_space_engine(matchers).is_some() && keep_name_table(source_names, target_names)
+}
+
+/// The name engine a key-space stage over `matchers` reads its table
+/// for: the name-keyed engine of a leaf's only matcher. The engine finds
+/// the table kept (see [`selects_in_key_space`]) or not in the
+/// execution's memo.
+pub(super) fn key_space_engine(matchers: &[(String, Arc<dyn Matcher>)]) -> Option<&NameEngine> {
+    match matchers {
+        [(_, matcher)] => matcher.name_keyed(),
+        _ => None,
+    }
+}
+
 /// The name-table rule: a plan execution keeps one table of its task's
 /// distinct name-pair similarities (`hybrid::NameTable`), shared by every
 /// `Name` and `TypeName` compute of the execution, while its
@@ -173,6 +202,14 @@ pub(super) fn leaf_shards(cfg: &EngineConfig, rows: usize, budget: usize) -> usi
         Some(forced) => forced.clamp(1, rows),
         None => budget.min(rows.div_ceil(MIN_SHARD_ROWS)).max(1),
     }
+}
+
+/// Threads that fill a key-space stage's name table on a task of `rows`
+/// source rows: the workers, bounded like the row-sharded pipeline's
+/// (one per [`MIN_SHARD_ROWS`] rows), so a task that pipeline would run
+/// in one shard fills its table inline, without a spawn.
+pub(super) fn name_fill_threads(cfg: &EngineConfig, rows: usize) -> usize {
+    workers(cfg).min(rows.div_ceil(MIN_SHARD_ROWS)).max(1)
 }
 
 /// Row shards of the fused pipeline over `rows` rows: the forced count,
@@ -403,11 +440,8 @@ mod tests {
         assert!(!cacheable(&MatchPlan::matchers(["Name", "NoSuchMatcher"])));
     }
 
-    /// Every blocker of the fusion rule keeps the engine's prunable stage
-    /// unfused, makes the analyzer predict `No` for it, and raises its
-    /// diagnostic (or none); the unblocked plan fuses on both sides.
-    #[test]
-    fn fusion_blockers_agree_between_engine_and_analyzer() {
+    /// The two small schemas the agreement tests below match.
+    fn po_schemas() -> (coma_graph::Schema, coma_graph::Schema) {
         let source = coma_sql::import_ddl(
             "CREATE TABLE PO.Customer (custNo INT, custName VARCHAR(200), custCity VARCHAR(200));",
             "PO1",
@@ -418,6 +452,15 @@ mod tests {
             "PO2",
         )
         .unwrap();
+        (source, target)
+    }
+
+    /// Every blocker of the fusion rule keeps the engine's prunable stage
+    /// unfused, makes the analyzer predict `No` for it, and raises its
+    /// diagnostic (or none); the unblocked plan fuses on both sides.
+    #[test]
+    fn fusion_blockers_agree_between_engine_and_analyzer() {
+        let (source, target) = po_schemas();
         let (source_paths, target_paths) = (
             PathSet::new(&source).unwrap(),
             PathSet::new(&target).unwrap(),
@@ -516,5 +559,68 @@ mod tests {
                 .collect();
             assert_eq!(codes, Vec::from_iter(diagnostic), "{case}: diagnostics");
         }
+    }
+
+    /// A key-space stage fills its name table inline on a task of one
+    /// shard's rows and on every worker above; on one thread when
+    /// parallel execution is off.
+    #[test]
+    fn name_tables_fill_inline_below_the_shard_floor() {
+        let (cfg, large) = (EngineConfig::default(), 100 * super::MIN_SHARD_ROWS);
+        assert_eq!(super::name_fill_threads(&cfg, 0), 1);
+        assert_eq!(super::name_fill_threads(&cfg, super::MIN_SHARD_ROWS), 1);
+        assert_eq!(super::name_fill_threads(&cfg, large), super::workers(&cfg));
+        let serial = cfg.with_parallel(false);
+        assert_eq!(super::name_fill_threads(&serial, large), 1);
+    }
+
+    /// The key-space rule agrees between engine and analyzer: a stage
+    /// fused over a `Name` leaf selects in key space over the task's
+    /// distinct names and reports one shard, while `TypeName` (keyed by
+    /// name and datatype) and `[Name, NamePath]` (two matchers) run the
+    /// row-sharded pipeline, here at two forced shards. Above the keep
+    /// rule's budget, not even a `Name` leaf selects in key space.
+    #[test]
+    fn key_space_agrees_between_engine_and_analyzer() {
+        let (source, target) = po_schemas();
+        let (source_paths, target_paths) = (
+            PathSet::new(&source).unwrap(),
+            PathSet::new(&target).unwrap(),
+        );
+        let coma = Coma::new();
+        let ctx = MatchContext::new(&source, &target, &source_paths, &target_paths, coma.aux());
+        let stats = TaskStats::gather(&ctx);
+        let names = (stats.source_distinct_names, stats.target_distinct_names);
+        let cfg = EngineConfig::default().with_shards(2);
+        for (leaf_matchers, keyed) in [
+            (&["Name"][..], true),
+            (&["TypeName"][..], false),
+            (&["Name", "NamePath"][..], false),
+        ] {
+            let plan = top(leaf(leaf_matchers, Selection::max_n(3).with_threshold(0.2)));
+            let outcome = PlanEngine::with_config(coma.library(), cfg.clone())
+                .execute(&ctx, &plan)
+                .unwrap();
+            let stage = outcome.stages.last().unwrap();
+            assert!(stage.fused, "{leaf_matchers:?}");
+            assert_eq!(stage.key_space, keyed.then_some(names), "{leaf_matchers:?}");
+            assert_eq!(stage.shards, if keyed { 1 } else { 2 }, "{leaf_matchers:?}");
+            let analysis = PlanAnalyzer::new(coma.library(), cfg.clone()).analyze(&plan, &stats);
+            let predicted = if keyed { Tri::Yes } else { Tri::No };
+            assert_eq!(
+                analysis.key_space_prediction(&stage.label),
+                predicted,
+                "{leaf_matchers:?}"
+            );
+            let facts = analysis.nodes.iter().find(|f| f.label == stage.label);
+            assert_eq!(
+                facts.map(|f| f.shards_estimate),
+                Some(stage.shards),
+                "{leaf_matchers:?}"
+            );
+        }
+        let name = vec![("Name".to_string(), coma.library().get("Name").unwrap())];
+        assert!(super::selects_in_key_space(&name, 433, 875));
+        assert!(!super::selects_in_key_space(&name, 20_000, 20_000));
     }
 }

@@ -171,9 +171,12 @@ impl NameScorer {
 /// per [`NameEngine`] value while the task's distinct-name pairs fit the
 /// engine's keep rule, so the standard `Name` and `TypeName` share it and
 /// every fused row shard, masked refine slice and structural leaf table
-/// of the execution reads the same rows. It lives for that execution
-/// only and never enters the cross-request cache. Without a kept table,
-/// each compute builds one over its own rows and drops it.
+/// of the execution reads the same rows. A prunable stage fused over a
+/// `Name` leaf reads the kept table's keys and rows itself and selects
+/// over distinct names, never expanding them to paths. The table lives
+/// for that execution only and never enters the cross-request cache.
+/// Without a kept table, each compute builds one over its own rows and
+/// drops it.
 pub(crate) struct NameTable {
     scorer: NameScorer,
     /// The first source row the table covers.
@@ -195,6 +198,16 @@ impl NameTable {
     /// execution's memo keeps for `engine` (built by the first compute
     /// that asks, over every row), or else a table over `rows` alone.
     fn of(ctx: &MatchContext<'_>, engine: &NameEngine, rows: Range<usize>) -> Arc<NameTable> {
+        NameTable::kept(ctx, engine).unwrap_or_else(|| {
+            let table = NameTable::new(ctx, engine, rows, |_, _| true);
+            Arc::new(table.expect("an unconditional table"))
+        })
+    }
+
+    /// The table the execution's memo keeps for `engine`, over every
+    /// row, built by the first compute that asks; `None` without a memo
+    /// or when the keep rule declines it.
+    pub(crate) fn kept(ctx: &MatchContext<'_>, engine: &NameEngine) -> Option<Arc<NameTable>> {
         let kept = ctx.memo.and_then(|memo| {
             memo.name_table(engine, || {
                 let table = NameTable::new(ctx, engine, 0..ctx.rows(), keep_name_table);
@@ -206,10 +219,19 @@ impl NameTable {
                 .is_none_or(|t| (t.row_key.len(), t.col_key.len()) == (ctx.rows(), ctx.cols())),
             "a memo serves the computes of one task"
         );
-        kept.unwrap_or_else(|| {
-            let table = NameTable::new(ctx, engine, rows, |_, _| true);
-            Arc::new(table.expect("an unconditional table"))
-        })
+        kept
+    }
+
+    /// The distinct-name key of each covered source row and of each
+    /// target column.
+    pub(crate) fn keys(&self) -> (&[u32], &[u32]) {
+        (&self.row_key, &self.col_key)
+    }
+
+    /// The distinct (source, target) name counts: the table's rows and
+    /// the length of each.
+    pub(crate) fn names(&self) -> (usize, usize) {
+        (self.rows.len(), self.scorer.tgt.len())
     }
 
     /// The table over source rows `rows` and every target column, if
@@ -239,7 +261,7 @@ impl NameTable {
     }
 
     /// The row of distinct source name `a`, filled on first use.
-    fn row(&self, a: u32) -> &[f64] {
+    pub(crate) fn row(&self, a: u32) -> &[f64] {
         self.rows[a as usize].get_or_init(|| {
             #[cfg(test)]
             self.fills
@@ -398,6 +420,10 @@ impl Matcher for NameMatcher {
 
     fn row_shardable(&self) -> bool {
         true
+    }
+
+    fn name_keyed(&self) -> Option<&NameEngine> {
+        Some(&self.engine)
     }
 }
 

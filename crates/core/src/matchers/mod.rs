@@ -14,6 +14,7 @@ pub mod synonym;
 
 use crate::cube::SimMatrix;
 pub use context::{Auxiliary, MatchContext};
+use name_engine::NameEngine;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -97,6 +98,17 @@ pub trait Matcher: Send + Sync {
     /// default is `false` (compute full, mask afterwards).
     fn sparse_capable(&self) -> bool {
         false
+    }
+
+    /// The name engine of a *name-keyed* matcher: one whose every cell is
+    /// the clamped similarity this engine gives the two element names,
+    /// and nothing else (`Name`). A prunable stage fused over a leaf
+    /// whose only matcher is name-keyed then selects over the task's
+    /// distinct names instead of its paths, reading the execution's name
+    /// table for this engine. `None`, the default, for every other
+    /// matcher.
+    fn name_keyed(&self) -> Option<&NameEngine> {
+        None
     }
 }
 

@@ -461,7 +461,13 @@ fn main() -> ExitCode {
                             cube.len() * cube.rows() * cube.cols(),
                             stage.shards,
                             if stage.shards == 1 { "" } else { "s" },
-                            if stage.fused { ", fused" } else { "" },
+                            match (stage.fused, stage.key_space) {
+                                (true, Some((source, target))) => {
+                                    format!(", fused in key space ({source}x{target} names)")
+                                }
+                                (true, None) => ", fused".to_string(),
+                                (false, _) => String::new(),
+                            },
                         );
                         if let Some(stats) = stage.index_stats {
                             let cells = (cube.rows() * cube.cols()).max(1);

@@ -8,6 +8,8 @@
 //!   predicted dense stays dense),
 //! * a stage predicted fusable lands with `StageOutcome::fused == true`
 //!   (and a predicted-unfusable one materializes),
+//! * a stage predicted to select in key space reports its key counts in
+//!   `StageOutcome::key_space` (and one predicted not to reports none),
 //! * the measured peak allocation of the execution (counting global
 //!   allocator, the same instrument the perf gate uses) never exceeds
 //!   the predicted `peak_bytes` upper bound.
@@ -99,6 +101,13 @@ fn assert_sound(which: &str, run: &Executed) {
             stage.label,
             stage.fused
         );
+        let key_space = run.analysis.key_space_prediction(&stage.label);
+        assert!(
+            key_space.agrees_with(stage.key_space.is_some()),
+            "{which}: stage `{}` predicted key_space {key_space:?} but ran {:?}",
+            stage.label,
+            stage.key_space
+        );
     }
     assert!(
         (run.measured_peak as u64) <= run.analysis.peak_bytes,
@@ -143,7 +152,8 @@ fn predictions_agree_with_execution_across_workloads_and_configs() {
                 //   nothing fuses — every materialized stage is a
                 //   definite `No` on both axes;
                 // * under any sparse config the two pruning plans'
-                //   prune-over-Matchers stage is definitely fused.
+                //   prune-over-Matchers stage is definitely fused, and
+                //   over their `Name` leaf definitely in key space.
                 if *cfg_name == "dense" {
                     for stage in &run.outcome.stages {
                         assert_eq!(
@@ -154,6 +164,12 @@ fn predictions_agree_with_execution_across_workloads_and_configs() {
                         );
                         assert_eq!(
                             run.analysis.fused_prediction(&stage.label),
+                            Tri::No,
+                            "{which}: stage `{}`",
+                            stage.label
+                        );
+                        assert_eq!(
+                            run.analysis.key_space_prediction(&stage.label),
                             Tri::No,
                             "{which}: stage `{}`",
                             stage.label
@@ -171,6 +187,12 @@ fn predictions_agree_with_execution_across_workloads_and_configs() {
                         Tri::Yes,
                         "{which}"
                     );
+                    assert_eq!(
+                        run.analysis.key_space_prediction(&fused_stage.label),
+                        Tri::Yes,
+                        "{which}"
+                    );
+                    assert!(fused_stage.key_space.is_some(), "{which}");
                 }
             }
         }

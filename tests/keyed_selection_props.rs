@@ -12,6 +12,8 @@
 //! * The prune over it is a `TopK` in every `TopKPer` mode or a `Filter`
 //!   with a `max_n`, a threshold, a delta or `max_n(1)`.
 //! * Shard counts are 1, 2, 7 and rows + 1.
+//! * Every such stage selects in key space, over the task's distinct
+//!   names, and reports one shard.
 //! * The tasks are generated deep and star tasks and a hand-built pair,
 //!   each also with source and target swapped, so both `m < n` and
 //!   `m > n` occur, plus the three empty tasks. In the hand-built pair one
@@ -149,7 +151,11 @@ fn coma() -> &'static Coma {
     })
 }
 
-const DIRECTIONS: [Direction; 3] = [Direction::LargeSmall, Direction::SmallLarge, Direction::Both];
+const DIRECTIONS: [Direction; 3] = [
+    Direction::LargeSmall,
+    Direction::SmallLarge,
+    Direction::Both,
+];
 
 /// The one-slice `Weighted` leaf's weight: `(v · 0.7) / 0.7` differs from
 /// `v` in the last bit for some of the tasks' name similarities.
@@ -219,7 +225,10 @@ fn assert_same_result(what: &str, got: &MatchResult, want: &MatchResult) {
     assert_eq!(got, want, "{what}");
     let bits = |r: &MatchResult| {
         let sims = r.candidates.iter().map(|c| c.similarity.to_bits());
-        (sims.collect::<Vec<_>>(), r.schema_similarity.map(f64::to_bits))
+        (
+            sims.collect::<Vec<_>>(),
+            r.schema_similarity.map(f64::to_bits),
+        )
     };
     assert_eq!(bits(got), bits(want), "{what}: similarity bits");
 }
@@ -232,6 +241,17 @@ fn check(what: &str, ctx: &MatchContext<'_>, plan: &MatchPlan, shards: usize) {
     assert_eq!(fused.stages.len(), 1, "{what}: the leaf stage was absorbed");
     assert!(fused.stages[0].fused, "{what}: fused");
     let stage = &fused.stages[0];
+    // The stage selected in key space, over the task's distinct names.
+    let distinct = |names: &mut Vec<&str>| {
+        names.sort_unstable();
+        names.dedup();
+        names.len()
+    };
+    let mut source: Vec<&str> = (0..ctx.rows()).map(|i| ctx.source_name(i)).collect();
+    let mut target: Vec<&str> = (0..ctx.cols()).map(|j| ctx.target_name(j)).collect();
+    let names = (distinct(&mut source), distinct(&mut target));
+    assert_eq!(stage.key_space, Some(names), "{what}: key space");
+    assert_eq!(stage.shards, 1, "{what}: a key-space stage has one shard");
     let oracles = [
         ("unfused", cfg.clone().with_fuse_pruning(false)),
         ("dense", cfg.with_sparse(false)),
@@ -381,12 +401,13 @@ fn the_tasks_repeat_and_tie_names() {
             EngineConfig::default(),
         );
         let slice = name.stages[0].cube.slice(0);
-        weighted_moves |= slice
-            .nonzero()
-            .any(|(_, _, v)| (v * WEIGHT) / WEIGHT != v);
+        weighted_moves |= slice.nonzero().any(|(_, _, v)| (v * WEIGHT) / WEIGHT != v);
     }
     assert!(wider && taller, "both task orientations occur");
-    assert!(weighted_moves, "a one-slice Weighted leaf differs from its slice");
+    assert!(
+        weighted_moves,
+        "a one-slice Weighted leaf differs from its slice"
+    );
     let engine = NameEngine::paper_default();
     let tie = |a: &str, b: &str| {
         engine.similarity(a, "CityName", coma.aux()) == engine.similarity(b, "CityName", coma.aux())

@@ -10,8 +10,9 @@
 //! uncapped candidate set covers every positive-threshold `Name`
 //! selection, identically across execution configurations. On a
 //! generated task large enough that the row-shard workers' per-column
-//! pools fold, the fused prune still equals the unfused one and a capped
-//! index keeps exactly each element's best candidates.
+//! pools fold, the fused prune (in key space over a `Name` leaf,
+//! row-sharded over a `TypeName` leaf) still equals the unfused one and a
+//! capped index keeps exactly each element's best candidates.
 
 use coma::core::plans::liberal_name_stage;
 use coma::core::{
@@ -745,12 +746,15 @@ fn fullest_column(matrix: &SimMatrix, floor: f64, spans: &[Range<usize>]) -> usi
         .unwrap_or(0)
 }
 
-/// The fused prune over the liberal `Name` leaf equals the unfused one —
-/// result, stage result and stage cube — for `TopK` in every `TopKPer`
-/// mode and for capped and uncapped threshold filters, at every shard
-/// count, on a generated task where the leaf's per-column pools fold:
-/// some column holds at least `max(4 · 10, 16)` cells above the leaf's
-/// 0.3 threshold inside the rows one worker pools.
+/// The fused prune over a liberal one-matcher leaf equals the unfused
+/// one — result, stage result and stage cube — for `TopK` in every
+/// `TopKPer` mode and for capped and uncapped threshold filters, at every
+/// shard count, on a generated task. Over the `Name` leaf the stage
+/// selects in key space; over the `TypeName` leaf (keyed by name and
+/// datatype, so not name-keyed) it runs the row-sharded pipeline, whose
+/// per-column pools fold here: some column holds at least
+/// `max(4 · 10, 16)` cells above the leaf's 0.3 threshold inside the rows
+/// one worker pools.
 #[test]
 fn fused_pruning_matches_unfused_through_column_folds() {
     let g = generated();
@@ -761,36 +765,50 @@ fn fused_pruning_matches_unfused_through_column_folds() {
         &g.target_paths,
         g.coma.aux(),
     );
-    let prunes = [
-        liberal_name_stage().top_k(1, TopKPer::Row).unwrap(),
-        liberal_name_stage().top_k(3, TopKPer::Col).unwrap(),
-        liberal_name_stage().top_k(2, TopKPer::Both).unwrap(),
-        liberal_name_stage().filtered(Direction::Both, Selection::max_n(3).with_threshold(0.4)),
-        liberal_name_stage().filtered(Direction::Both, Selection::threshold(0.6)),
-    ];
-    for shards in [1, 2, 7, ctx.rows() + 1] {
-        let fused_cfg = EngineConfig::default().with_shards(shards);
-        let unfused_cfg = fused_cfg.clone().with_fuse_pruning(false);
-        for plan in &prunes {
-            let case = format!("{} at {shards} shards", plan.label());
-            let fused = PlanEngine::with_config(g.coma.library(), fused_cfg.clone())
-                .execute(&ctx, plan)
-                .unwrap();
-            let unfused = PlanEngine::with_config(g.coma.library(), unfused_cfg.clone())
-                .execute(&ctx, plan)
-                .unwrap();
-            assert_eq!(fused.stages.len(), 1, "{case}");
-            assert!(fused.stages[0].fused, "{case}");
-            assert_eq!(fused.result, unfused.result, "{case}");
-            let (fused_stage, unfused_stage) = (&fused.stages[0], unfused.stages.last().unwrap());
-            assert_eq!(fused_stage.label, unfused_stage.label, "{case}");
-            assert_eq!(fused_stage.result, unfused_stage.result, "{case}");
-            assert_eq!(fused_stage.cube, unfused_stage.cube, "{case}");
-
-            // One matcher under `Average`: the leaf's aggregate is its slice.
-            let leaf = unfused.stages[0].cube.slice(0);
-            let fullest = fullest_column(leaf, 0.3, &fold_spans(ctx.rows(), shards));
-            assert!(fullest >= 40, "{case}: no pool folds ({fullest} < 40)");
+    let liberal_type_name = {
+        let mut liberal = CombinationStrategy::paper_default();
+        liberal.selection = Selection::max_n(10).with_threshold(0.3);
+        MatchPlan::matchers_with(["TypeName"], liberal)
+    };
+    for (leaf, keyed) in [(liberal_name_stage(), true), (liberal_type_name, false)] {
+        let prunes = [
+            leaf.clone().top_k(1, TopKPer::Row).unwrap(),
+            leaf.clone().top_k(3, TopKPer::Col).unwrap(),
+            leaf.clone().top_k(2, TopKPer::Both).unwrap(),
+            leaf.clone()
+                .filtered(Direction::Both, Selection::max_n(3).with_threshold(0.4)),
+            leaf.clone()
+                .filtered(Direction::Both, Selection::threshold(0.6)),
+        ];
+        for shards in [1, 2, 7, ctx.rows() + 1] {
+            let fused_cfg = EngineConfig::default().with_shards(shards);
+            let unfused_cfg = fused_cfg.clone().with_fuse_pruning(false);
+            for plan in &prunes {
+                let case = format!("{} at {shards} shards", plan.label());
+                let fused = PlanEngine::with_config(g.coma.library(), fused_cfg.clone())
+                    .execute(&ctx, plan)
+                    .unwrap();
+                let unfused = PlanEngine::with_config(g.coma.library(), unfused_cfg.clone())
+                    .execute(&ctx, plan)
+                    .unwrap();
+                assert_eq!(fused.stages.len(), 1, "{case}");
+                assert!(fused.stages[0].fused, "{case}");
+                assert_eq!(fused.stages[0].key_space.is_some(), keyed, "{case}");
+                assert_eq!(fused.result, unfused.result, "{case}");
+                let (fused_stage, unfused_stage) =
+                    (&fused.stages[0], unfused.stages.last().unwrap());
+                assert_eq!(fused_stage.label, unfused_stage.label, "{case}");
+                assert_eq!(fused_stage.result, unfused_stage.result, "{case}");
+                assert_eq!(fused_stage.cube, unfused_stage.cube, "{case}");
+                if keyed {
+                    continue;
+                }
+                // One matcher under `Average`: the leaf's aggregate is its
+                // slice.
+                let leaf = unfused.stages[0].cube.slice(0);
+                let fullest = fullest_column(leaf, 0.3, &fold_spans(ctx.rows(), shards));
+                assert!(fullest >= 40, "{case}: no pool folds ({fullest} < 40)");
+            }
         }
     }
 }

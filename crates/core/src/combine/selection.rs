@@ -274,22 +274,23 @@ impl DirectedCandidates {
             directional_wants(direction, row_key.len(), col_key.len());
         let value = &matrix.value;
         let mut scratch = Vec::new();
-        let mut ranked = |across: usize, groups: &[Vec<usize>], value: &dyn Fn(usize) -> f64| {
-            scratch.clear();
-            scratch.extend((0..across).map(|key| (key, value(key))));
-            rank_keyed(&mut scratch, groups, selection)
-        };
         let for_sources = want_for_sources.then(|| {
             let targets = key_groups(col_key, col_keys);
             let lists: Vec<_> = (0..row_keys)
-                .map(|a| ranked(col_keys, &targets, &|b| value(a, b)))
+                .map(|a| {
+                    let entries = (0..col_keys).map(|b| (b, value(a, b)));
+                    rank_keyed(&mut scratch, entries, &targets, selection)
+                })
                 .collect();
             row_key.iter().map(|&a| lists[a as usize].clone()).collect()
         });
         let for_targets = want_for_targets.then(|| {
             let sources = key_groups(row_key, row_keys);
             let lists: Vec<_> = (0..col_keys)
-                .map(|b| ranked(row_keys, &sources, &|a| value(a, b)))
+                .map(|b| {
+                    let entries = (0..row_keys).map(|a| (a, value(a, b)));
+                    rank_keyed(&mut scratch, entries, &sources, selection)
+                })
                 .collect();
             col_key.iter().map(|&b| lists[b as usize].clone()).collect()
         });
@@ -425,11 +426,12 @@ fn key_groups(key_of: &[u32], keys: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The per-element ranking of [`rank_entries`] in key space: `keys` holds
-/// one element's `(key, similarity)` entries over distinct keys, each key
-/// standing for all of its elements in `groups`. Returns what
-/// `rank_entries` keeps of the expanded `(element, similarity)` entries,
-/// best first, equal values in ascending element order.
+/// The per-element ranking of [`rank_entries`] in key space: `entries`
+/// are one element's `(key, similarity)` entries over distinct keys, each
+/// key standing for all of its elements in `groups`; `keys` is scratch.
+/// Returns what `rank_entries` keeps of the expanded
+/// `(element, similarity)` entries, best first, equal values in ascending
+/// element order.
 ///
 /// Keys are ranked before any is expanded: under a `max_n` of `k` only
 /// the `k` best keys and the keys tying the `k`-th can hold a kept
@@ -439,11 +441,13 @@ fn key_groups(key_of: &[u32], keys: usize) -> Vec<Vec<usize>> {
 /// equal values by index, and stops at `k` elements.
 fn rank_keyed(
     keys: &mut Vec<(usize, f64)>,
+    entries: impl Iterator<Item = (usize, f64)>,
     groups: &[Vec<usize>],
     selection: &Selection,
 ) -> Vec<(usize, f64)> {
     let floor = selection.threshold.unwrap_or(f64::NEG_INFINITY);
-    keys.retain(|&(_, s)| s > floor && s > 0.0);
+    keys.clear();
+    keys.extend(entries.filter(|&(_, s)| s > floor && s > 0.0));
     let cap = selection.max_n.unwrap_or(usize::MAX);
     if cap == 0 {
         return Vec::new();
@@ -455,7 +459,11 @@ fn rank_keyed(
     }
     sort_desc(keys);
     selection.cut_values(keys);
-    let mut out = Vec::new();
+    let kept = keys
+        .iter()
+        .map(|&(key, _)| groups[key].len())
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(kept.min(cap));
     let mut rest = keys.as_slice();
     while out.len() < cap {
         let Some(&(_, sim)) = rest.first() else {
@@ -464,7 +472,12 @@ fn rank_keyed(
         let tied = rest.iter().take_while(|&&(_, s)| s == sim).count();
         let (group, tail) = rest.split_at(tied);
         rest = tail;
-        // The elements of the keys holding this value, merged by index.
+        let room = cap - out.len();
+        if let [(key, _)] = group {
+            out.extend(groups[*key].iter().take(room).map(|&e| (e, sim)));
+            continue;
+        }
+        // Keys tying on this value: their elements, merged by index.
         let mut heads: BinaryHeap<_> = group
             .iter()
             .map(|&(key, _)| Reverse((groups[key][0], key, 0)))
